@@ -23,6 +23,7 @@ from .finite_postgroup import (
     DEFAULT_MAX_SIZE,
     GroupTable,
     PostGroupTable,
+    _rows_from_names,
     validate_group,
     validate_postgroup,
 )
@@ -195,20 +196,7 @@ def load_action(path: str | Path) -> RightAction:
         raise ShapeError(f"{path}: group must be an object")
     require_keys(group_obj, ("elements", "table"), context=f"{path}: group")
     g_elements = name_list(group_obj["elements"], context=f"{path}: group elements")
-    g_index = {name: i for i, name in enumerate(g_elements)}
-    raw_table = group_obj["table"]
-    if not isinstance(raw_table, list) or not all(
-        isinstance(r, list) for r in raw_table
-    ):
-        raise ShapeError(f"{path}: group table must be an array of arrays")
-    table = []
-    for row in raw_table:
-        out = []
-        for entry in row:
-            if not isinstance(entry, str) or entry not in g_index:
-                raise ShapeError(f"{path}: unknown group element {entry!r}")
-            out.append(g_index[entry])
-        table.append(out)
+    table = _rows_from_names(g_elements, group_obj["table"], f"{path}: group table")
     group = validate_group(g_elements, table)
 
     points = name_list(obj["set"], context=f"{path}: set")
@@ -228,7 +216,7 @@ def load_action(path: str | Path) -> RightAction:
         row_obj = mapping[point]
         if not isinstance(row_obj, dict):
             raise ShapeError(f"{path}: action[{point!r}] must be an object")
-        unknown_g = [g for g in row_obj if g not in g_index]
+        unknown_g = [g for g in row_obj if g not in g_elements]
         if unknown_g:
             raise ShapeError(
                 f"{path}: action[{point!r}] mentions unknown element(s) {unknown_g}"

@@ -4,10 +4,13 @@ Two branches matter to callers.  SchemaError covers malformed input:
 wrong JSON shape, unknown names, syntax errors, size caps.  AxiomError
 covers well-formed input that fails a mathematical law; instances carry
 a human-readable witness.  The command line maps SchemaError to exit
-code 2 and AxiomError to exit code 1.
+code 2 and AxiomError to exit code 1.  A check that reports instead of
+raising returns a CheckResult, which carries the same kind of witness.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 
 class PostgroupLabError(Exception):
@@ -32,6 +35,17 @@ class AlphabetMismatchError(SchemaError):
 
 class SizeCapError(SchemaError):
     """The request exceeds a configured size or degree cap."""
+
+
+@dataclass(frozen=True)
+class CheckResult:
+    """Outcome of one law check, with a witness when it fails."""
+
+    ok: bool
+    witness: str | None = None
+
+    def __bool__(self) -> bool:
+        return self.ok
 
 
 class AxiomError(PostgroupLabError):

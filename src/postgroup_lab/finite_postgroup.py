@@ -22,6 +22,7 @@ from pathlib import Path
 from .errors import (
     AutomorphismError,
     BraidedGroupError,
+    CheckResult,
     GroupAxiomError,
     PostGroupLawError,
     ShapeError,
@@ -264,17 +265,6 @@ def is_pregroup(pg: PostGroupTable) -> bool:
     """A pre-group is a post-group whose dot product is abelian."""
     n = len(pg)
     return all(pg.dot[a][b] == pg.dot[b][a] for a in range(n) for b in range(n))
-
-
-@dataclass(frozen=True)
-class CheckResult:
-    """Outcome of one exhaustive check, with a witness when it fails."""
-
-    ok: bool
-    witness: str | None = None
-
-    def __bool__(self) -> bool:
-        return self.ok
 
 
 @dataclass(frozen=True)

@@ -16,10 +16,9 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
-from .errors import ShapeError, SizeCapError
+from .errors import CheckResult, ShapeError, SizeCapError
 from .tensor_postlie import (
     DEGREE_CAP,
-    LawReport,
     MagmaTree,
     TensorPoly,
     antipode_star,
@@ -206,7 +205,7 @@ def alpha_series(x: MagmaTree, order: int) -> TruncatedSeries:
     return series_triangle(twisted, target)
 
 
-def check_alpha_ode(x: MagmaTree, order: int, series: TruncatedSeries | None = None) -> LawReport:
+def check_alpha_ode(x: MagmaTree, order: int, series: TruncatedSeries | None = None) -> CheckResult:
     """Verify (k+1) alpha_{k+1} = -sum_{i+j=k} alpha_i |> alpha_j."""
     alpha = alpha_series(x, order) if series is None else series
     for k in range(alpha.order):
@@ -215,10 +214,10 @@ def check_alpha_ode(x: MagmaTree, order: int, series: TruncatedSeries | None = N
         for i in range(k + 1):
             rhs = rhs - triangle(alpha.coeffs[i], alpha.coeffs[k - i])
         if lhs != rhs:
-            return LawReport(
+            return CheckResult(
                 False, f"flow equation for the deformation series fails at order {k}"
             )
-    return LawReport(True)
+    return CheckResult(True)
 
 
 def solve_right_flow(x: MagmaTree, order: int) -> TruncatedSeries:
@@ -264,23 +263,23 @@ def magnus_gl(x: MagmaTree, order: int) -> TruncatedSeries:
     return TruncatedSeries(tuple(coeffs))
 
 
-def check_primitivity_of_log(y: TruncatedSeries) -> LawReport:
+def check_primitivity_of_log(y: TruncatedSeries) -> CheckResult:
     """Every coefficient of log^.(Y) must be primitive."""
     logs = log_dot_series(y)
     for k in range(1, logs.order + 1):
         if not is_primitive(logs.coeffs[k]):
-            return LawReport(False, f"log coefficient at order {k} is not primitive")
-    return LawReport(True)
+            return CheckResult(False, f"log coefficient at order {k} is not primitive")
+    return CheckResult(True)
 
 
-def flow_matches_twisted_exp(x: MagmaTree, order: int) -> LawReport:
+def flow_matches_twisted_exp(x: MagmaTree, order: int) -> CheckResult:
     """The solved flow is K applied to exp^.(tx), coefficient by
     coefficient, and the twisted exp of the Magnus series is exp^.(tx)."""
     flow = solve_right_flow(x, order)
     exp = exp_dot_series(x, order)
     for k in range(order + 1):
         if flow.coeffs[k] != kmap_tensor(exp.coeffs[k]):
-            return LawReport(False, f"flow deviates from the twist map at order {k}")
+            return CheckResult(False, f"flow deviates from the twist map at order {k}")
     if exp_star_series(magnus_gl(x, order)) != exp:
-        return LawReport(False, "twisted exp of the Magnus series misses exp^.(tx)")
-    return LawReport(True)
+        return CheckResult(False, "twisted exp of the Magnus series misses exp^.(tx)")
+    return CheckResult(True)

@@ -56,7 +56,6 @@ from .tensor_postlie import (
     Leaf,
     Node,
     TensorPoly,
-    TensorPolyPair,
     antipode_star,
     check_postlie_axioms,
     concat,
@@ -226,7 +225,7 @@ def _criterion_twist_isomorphism(seed: int, level: str):
             pa = TensorPoly.from_word(a)
             ka = images.setdefault(a, kmap_tensor(pa))
             got = unshuffle(kmap_tensor(pa))
-            expected = TensorPolyPair()
+            expected = TensorPoly()
             for (u, v), c in unshuffle(pa).terms.items():
                 expected = expected + c * pair_tensor(
                     kmap_tensor(TensorPoly.from_word(u)),

@@ -8,6 +8,10 @@ tensor algebra, builds the twisted (Grossman-Larson style) product and
 its antipode, and implements the length-lowering map K together with
 its inverse.  Everything is exact; there is no floating point here.
 
+Each operation is a memoised rule on words, extended to polynomials by
+_linear or _bilinear.  The unshuffle coproduct is a TensorPoly keyed by
+(word, word) pairs.
+
 The unshuffle coproduct of a word of length k has 2^k terms, so the
 expensive entry points refuse inputs above DEGREE_CAP leaves unless the
 caller passes max_degree=None.
@@ -19,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .errors import NotPrimitiveError, SizeCapError
+from .errors import CheckResult, NotPrimitiveError, SizeCapError
 
 DEGREE_CAP = 8
 
@@ -73,9 +77,10 @@ def word_key(word: TensorWord) -> tuple:
 
 
 class TensorPoly:
-    """Finite rational combination of tensor words.
+    """Finite rational combination of tensor words, or of (word, word)
+    pairs for the coproduct.
 
-    terms maps words to nonzero Fractions; treat it as read-only.
+    terms maps keys to nonzero Fractions; treat it as read-only.
     """
 
     __slots__ = ("terms",)
@@ -142,54 +147,13 @@ class TensorPoly:
         return f"TensorPoly({format_poly(self)})"
 
 
-class TensorPolyPair:
-    """Rational combination of word pairs; the coproduct lives here."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        clean = {}
-        for pair, coeff in (terms or {}).items():
-            coeff = Fraction(coeff)
-            if coeff:
-                clean[pair] = coeff
-        object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TensorPolyPair is immutable")
-
-    def __eq__(self, other):
-        return isinstance(other, TensorPolyPair) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __add__(self, other):
-        acc = dict(self.terms)
-        for pair, coeff in other.terms.items():
-            _add_into(acc, pair, coeff)
-        return TensorPolyPair(acc)
-
-    def __sub__(self, other):
-        acc = dict(self.terms)
-        for pair, coeff in other.terms.items():
-            _add_into(acc, pair, -coeff)
-        return TensorPolyPair(acc)
-
-    def __neg__(self):
-        return TensorPolyPair({p: -c for p, c in self.terms.items()})
-
-    def __rmul__(self, scalar):
-        scalar = Fraction(scalar)
-        return TensorPolyPair({p: scalar * c for p, c in self.terms.items()})
-
-
-def pair_tensor(left: TensorPoly, right: TensorPoly) -> TensorPolyPair:
+def pair_tensor(left: TensorPoly, right: TensorPoly) -> TensorPoly:
+    """left (x) right, keyed by (word, word) pairs."""
     acc = {}
     for u, a in left.terms.items():
         for v, b in right.terms.items():
             _add_into(acc, (u, v), a * b)
-    return TensorPolyPair(acc)
+    return TensorPoly(acc)
 
 
 def _add_into(acc: dict, key, coeff) -> None:
@@ -198,6 +162,26 @@ def _add_into(acc: dict, key, coeff) -> None:
         acc[key] = total
     else:
         acc.pop(key, None)
+
+
+def _linear(fn, poly: TensorPoly) -> TensorPoly:
+    """Sum of c * fn(w) over the terms c * w of poly."""
+    acc = {}
+    for word, coeff in poly.terms.items():
+        for out, c in fn(word).terms.items():
+            _add_into(acc, out, coeff * c)
+    return TensorPoly(acc)
+
+
+def _bilinear(fn, left: TensorPoly, right: TensorPoly) -> TensorPoly:
+    """Sum of a * b * fn(u, w) over the terms a * u of left and b * w of right."""
+    acc = {}
+    for u, a in left.terms.items():
+        for w, b in right.terms.items():
+            ab = a * b
+            for out, c in fn(u, w).terms.items():
+                _add_into(acc, out, ab * c)
+    return TensorPoly(acc)
 
 
 def counit(poly: TensorPoly) -> Fraction:
@@ -246,14 +230,14 @@ def _splits(word: TensorWord) -> list:
     return out
 
 
-def unshuffle(poly: TensorPoly, max_degree=DEGREE_CAP) -> TensorPolyPair:
+def unshuffle(poly: TensorPoly, max_degree=DEGREE_CAP) -> TensorPoly:
     """Coproduct: letters are primitive and words split over positions."""
     _check_cap(max_degree, poly)
     acc = {}
     for word, coeff in poly.terms.items():
         for sub, comp in _splits(word):
             _add_into(acc, (sub, comp), coeff)
-    return TensorPolyPair(acc)
+    return TensorPoly(acc)
 
 
 _TRI: dict = {}
@@ -279,34 +263,16 @@ def _tri_word(left: TensorWord, right: TensorWord) -> TensorPoly:
     else:
         # peel the first letter: (x.v) |> w = x |> (v |> w) - (x |> v) |> w
         x, rest = (left[0],), left[1:]
-        inner = _tri_word(rest, right)
-        out = _tri_word_poly(x, inner) - _tri_poly_word(_tri_word(x, rest), right)
+        acted = _linear(lambda w: _tri_word(x, w), _tri_word(rest, right))
+        out = acted - _linear(lambda v: _tri_word(v, right), _tri_word(x, rest))
     _TRI[key] = out
     return out
-
-
-def _tri_word_poly(left: TensorWord, poly: TensorPoly) -> TensorPoly:
-    acc = TensorPoly.zero()
-    for word, coeff in poly.terms.items():
-        acc = acc + coeff * _tri_word(left, word)
-    return acc
-
-
-def _tri_poly_word(poly: TensorPoly, right: TensorWord) -> TensorPoly:
-    acc = TensorPoly.zero()
-    for word, coeff in poly.terms.items():
-        acc = acc + coeff * _tri_word(word, right)
-    return acc
 
 
 def triangle(left: TensorPoly, right: TensorPoly, max_degree=DEGREE_CAP) -> TensorPoly:
     """Bilinear triangle product on the tensor algebra."""
     _check_cap(max_degree, left, right)
-    acc = TensorPoly.zero()
-    for u, a in left.terms.items():
-        for w, b in right.terms.items():
-            acc = acc + (a * b) * _tri_word(u, w)
-    return acc
+    return _bilinear(_tri_word, left, right)
 
 
 _GL: dict = {}
@@ -329,11 +295,7 @@ def _gl_word(left: TensorWord, right: TensorWord) -> TensorPoly:
 def gl_star(left: TensorPoly, right: TensorPoly, max_degree=DEGREE_CAP) -> TensorPoly:
     """Twisted product A*B: concatenate half of A, act with the rest."""
     _check_cap(max_degree, left, right)
-    acc = TensorPoly.zero()
-    for u, a in left.terms.items():
-        for w, b in right.terms.items():
-            acc = acc + (a * b) * _gl_word(u, w)
-    return acc
+    return _bilinear(_gl_word, left, right)
 
 
 def antipode_dot(poly: TensorPoly) -> TensorPoly:
@@ -359,11 +321,7 @@ def _sstar_word(word: TensorWord) -> TensorPoly:
         out = -TensorPoly.from_word(word)
         for sub, comp in _splits(word):
             if sub and comp:
-                piece = _sstar_word(sub)
-                acc = TensorPoly.zero()
-                for inner, coeff in piece.terms.items():
-                    acc = acc + coeff * _gl_word(inner, comp)
-                out = out - acc
+                out = out - _linear(lambda v: _gl_word(v, comp), _sstar_word(sub))
     _SSTAR[word] = out
     return out
 
@@ -371,10 +329,7 @@ def _sstar_word(word: TensorWord) -> TensorPoly:
 def antipode_star(poly: TensorPoly, max_degree=DEGREE_CAP) -> TensorPoly:
     """Antipode of the twisted product, by the graded recursion."""
     _check_cap(max_degree, poly)
-    acc = TensorPoly.zero()
-    for word, coeff in poly.terms.items():
-        acc = acc + coeff * _sstar_word(word)
-    return acc
+    return _linear(_sstar_word, poly)
 
 
 _K: dict = {}
@@ -388,11 +343,9 @@ def _k_word(word: TensorWord) -> TensorPoly:
         out = TensorPoly.from_word(word)
     else:
         # K(x.rest) = x.K(rest) - K(x |> rest)
-        x, rest = word[0], word[1:]
-        acc = {(x,) + w: c for w, c in _k_word(rest).terms.items()}
-        out = TensorPoly(acc)
-        for grown, coeff in _tri_word((x,), rest).terms.items():
-            out = out - coeff * _k_word(grown)
+        x, rest = (word[0],), word[1:]
+        head = concat(TensorPoly.from_word(x), _k_word(rest))
+        out = head - _linear(_k_word, _tri_word(x, rest))
     _K[word] = out
     return out
 
@@ -400,27 +353,21 @@ def _k_word(word: TensorWord) -> TensorPoly:
 def kmap_tensor(poly: TensorPoly, max_degree=DEGREE_CAP) -> TensorPoly:
     """The degree-preserving, length-lowering twist map K."""
     _check_cap(max_degree, poly)
-    acc = TensorPoly.zero()
-    for word, coeff in poly.terms.items():
-        acc = acc + coeff * _k_word(word)
-    return acc
+    return _linear(_k_word, poly)
 
 
 def kmap_tensor_inverse(poly: TensorPoly, max_degree=DEGREE_CAP) -> TensorPoly:
-    """Invert K by fixed-point iteration on U = A - (K(U) - U).
+    """Invert K by the finite series K^-1(A) = sum over n of (1 - K)^n A.
 
-    K(U) - U only has words strictly shorter than those of U, so the
-    iteration stabilizes after at most max word length rounds.
+    (1 - K) keeps only words strictly shorter than the longest word of
+    its input, so the n-th term vanishes once n exceeds that length.
     """
     _check_cap(max_degree, poly)
-    rounds = max((len(w) for w in poly.terms), default=0) + 2
-    current = poly
-    for _ in range(rounds):
-        image = kmap_tensor(current, max_degree=None)
-        if image == poly:
-            return current
-        current = poly - (image - current)
-    raise RuntimeError("kmap inverse did not stabilize")
+    total, term = TensorPoly.zero(), poly
+    while not term.is_zero():
+        total = total + term
+        term = term - kmap_tensor(term, max_degree=None)
+    return total
 
 
 def is_primitive(poly: TensorPoly) -> bool:
@@ -428,7 +375,7 @@ def is_primitive(poly: TensorPoly) -> bool:
     for word, coeff in poly.terms.items():
         _add_into(expected, (word, ()), coeff)
         _add_into(expected, ((), word), coeff)
-    return unshuffle(poly, max_degree=None) == TensorPolyPair(expected)
+    return unshuffle(poly, max_degree=None) == TensorPoly(expected)
 
 
 def _require_primitive(*polys) -> None:
@@ -456,17 +403,8 @@ def gl_lie_bracket(left: TensorPoly, right: TensorPoly, max_degree=DEGREE_CAP) -
     )
 
 
-@dataclass(frozen=True)
-class LawReport:
-    ok: bool
-    witness: str | None = None
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
 def check_postlie_axioms(x: TensorPoly, y: TensorPoly, z: TensorPoly,
-                         max_degree=DEGREE_CAP) -> LawReport:
+                         max_degree=DEGREE_CAP) -> CheckResult:
     """Both post-Lie axioms for the primitives x, y, z, and the same
     axioms for the opposite structure (negated bracket, twisted act)."""
     _require_primitive(x, y, z)
@@ -488,12 +426,12 @@ def check_postlie_axioms(x: TensorPoly, y: TensorPoly, z: TensorPoly,
         lhs = t(x, b(y, z))
         rhs = b(t(x, y), z) + b(y, t(x, z))
         if lhs != rhs:
-            return LawReport(False, f"{name}derivation axiom fails")
+            return CheckResult(False, f"{name}derivation axiom fails")
         assoc_xy = t(x, t(y, z)) - t(t(x, y), z)
         assoc_yx = t(y, t(x, z)) - t(t(y, x), z)
         if t(b(x, y), z) != assoc_xy - assoc_yx:
-            return LawReport(False, f"{name}associator axiom fails")
-    return LawReport(True)
+            return CheckResult(False, f"{name}associator axiom fails")
+    return CheckResult(True)
 
 
 def trees_of_degree(degree: int, generators: int) -> tuple:
@@ -545,10 +483,17 @@ def format_word(word: TensorWord, names=None) -> str:
 def format_poly(poly: TensorPoly, names=None) -> str:
     if poly.is_zero():
         return "0"
+    first = next(iter(poly.terms))
+    if first and isinstance(first[0], tuple):
+        # coproduct terms, keyed by (word, word) pairs
+        order = lambda p: (word_key(p[0]), word_key(p[1]))
+        text = lambda p: f"[{format_word(p[0], names)} | {format_word(p[1], names)}]"
+    else:
+        order, text = word_key, lambda w: format_word(w, names)
     parts = []
-    for word in sorted(poly.terms, key=word_key):
+    for word in sorted(poly.terms, key=order):
         coeff = poly.terms[word]
-        body = format_word(word, names)
+        body = text(word)
         magnitude = abs(coeff)
         if magnitude != 1 or not word:
             body = f"{magnitude}*{body}" if word else str(magnitude)

@@ -212,6 +212,19 @@ class TestJson:
         with pytest.raises(ShapeError, match="unknown element"):
             load_action(path)
 
+    @pytest.mark.parametrize(
+        "row, message",
+        [(["1", "weird"], "unknown element 'weird'"), ("1 0", "array of arrays")],
+        ids=["unknown-name", "non-list-row"],
+    )
+    def test_malformed_group_table_rejected(self, tmp_path, row, message):
+        obj = action_to_json(SWAP)
+        obj["group"]["table"][1] = row
+        path = tmp_path / "action.json"
+        dump_json(obj, path)
+        with pytest.raises(ShapeError, match=message):
+            load_action(path)
+
     def test_law_checked_on_load(self, tmp_path):
         obj = action_to_json(SWAP)
         obj["action"]["p"]["0"] = "q"

@@ -153,6 +153,14 @@ class TestTableVerbs:
         # the elements in order
         assert obj["triangle"] == [obj["elements"]] * 4
 
+    def test_from_action_refuses_a_malformed_group_table(self, tmp_path, capsys):
+        obj = json.loads((DATA / "z2-fix2-action.json").read_text())
+        obj["group"]["table"][0] = ["0", "2"]
+        path = tmp_path / "action.json"
+        path.write_text(json.dumps(obj))
+        assert main(["from-action", str(path)]) == 2
+        assert "unknown element '2'" in capsys.readouterr().err
+
 
 class TestTensorVerbs:
     def test_kmap_tensor_two_letter_line(self, capsys):

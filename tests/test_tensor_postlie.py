@@ -12,7 +12,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from postgroup_lab.errors import NotPrimitiveError, SizeCapError
@@ -21,7 +21,6 @@ from postgroup_lab.tensor_postlie import (
     Leaf,
     Node,
     TensorPoly,
-    TensorPolyPair,
     antipode_dot,
     antipode_star,
     check_postlie_axioms,
@@ -69,7 +68,7 @@ def unshuffle_oracle(word):
             right = tuple(word[i] for i in range(n) if i not in chosen)
             key = (left, right)
             acc[key] = acc.get(key, 0) + 1
-    return TensorPolyPair(acc)
+    return TensorPoly(acc)
 
 
 def pair_mult(p, q):
@@ -79,7 +78,7 @@ def pair_mult(p, q):
         for (v1, v2), b in q.terms.items():
             key = (u1 + v1, u2 + v2)
             acc[key] = acc.get(key, 0) + a * b
-    return TensorPolyPair(acc)
+    return TensorPoly(acc)
 
 
 def gaussian_inverse(matrix):
@@ -194,14 +193,14 @@ class TestUnshuffle:
                 assert got == unshuffle_oracle(word)
 
     def test_unit_and_letter(self):
-        assert unshuffle(TensorPoly.unit()) == TensorPolyPair({((), ()): 1})
-        assert unshuffle(X1) == TensorPolyPair(
+        assert unshuffle(TensorPoly.unit()) == TensorPoly({((), ()): 1})
+        assert unshuffle(X1) == TensorPoly(
             {((A0,), ()): 1, ((), (A0,)): 1}
         )
 
     def test_two_letter_word_has_four_terms(self):
         got = unshuffle(concat(X1, X2))
-        assert got == TensorPolyPair({
+        assert got == TensorPoly({
             ((A0, A1), ()): 1,
             ((A0,), (A1,)): 1,
             ((A1,), (A0,)): 1,
@@ -334,7 +333,7 @@ class TestTriangle:
                 for b in words_of_degree(db, 2):
                     pb = TensorPoly.from_word(b)
                     got = unshuffle(triangle(pa, pb))
-                    expected = TensorPolyPair()
+                    expected = TensorPoly()
                     for (a1, a2), ca in unshuffle(pa).terms.items():
                         for (b1, b2), cb in unshuffle(pb).terms.items():
                             expected = expected + (ca * cb) * pair_tensor(
@@ -385,7 +384,7 @@ class TestGlStar:
                 for b in words_of_degree(db, 2):
                     pb = TensorPoly.from_word(b)
                     got = unshuffle(gl_star(pa, pb))
-                    expected = TensorPolyPair()
+                    expected = TensorPoly()
                     for (a1, a2), ca in unshuffle(pa).terms.items():
                         for (b1, b2), cb in unshuffle(pb).terms.items():
                             expected = expected + (ca * cb) * pair_tensor(
@@ -487,6 +486,18 @@ class TestKmap:
                 assert kmap_tensor_inverse(kmap_tensor(poly)) == poly
                 assert kmap_tensor(kmap_tensor_inverse(poly)) == poly
 
+    @given(st.lists(st.tuples(words_small, st.fractions(max_denominator=6)), max_size=5))
+    @example([])
+    @settings(max_examples=60)
+    def test_inverse_is_two_sided_on_polynomials(self, terms):
+        poly = TensorPoly.zero()
+        for word, coeff in terms:
+            poly = poly + coeff * TensorPoly.from_word(word)
+        inverse = kmap_tensor_inverse(poly, max_degree=None)
+        assert kmap_tensor(inverse, max_degree=None) == poly
+        image = kmap_tensor(poly, max_degree=None)
+        assert kmap_tensor_inverse(image, max_degree=None) == poly
+
     def test_turns_star_into_concatenation(self):
         for da, db in itertools.product(range(5), repeat=2):
             if da + db > 4:
@@ -503,7 +514,7 @@ class TestKmap:
             for word in words_of_degree(degree, 2):
                 poly = TensorPoly.from_word(word)
                 got = unshuffle(kmap_tensor(poly))
-                expected = TensorPolyPair()
+                expected = TensorPoly()
                 for (a, b), c in unshuffle(poly).terms.items():
                     expected = expected + c * pair_tensor(
                         kmap_tensor(TensorPoly.from_word(a)),
@@ -610,6 +621,10 @@ class TestFormatting:
         assert format_poly(TensorPoly.unit()) == "1"
         assert format_poly(kmap_tensor(concat(X1, X2))) == "-(x1>x2) + x1.x2"
         assert format_poly(Fraction(3, 2) * X1 - TensorPoly.unit()) == "-1 + 3/2*x1"
+
+    def test_coproduct_text_names_both_legs(self):
+        assert repr(unshuffle(X1)) == "TensorPoly([1 | x1] + [x1 | 1])"
+        assert format_poly(2 * unshuffle(TensorPoly.unit())) == "2*[1 | 1]"
 
     def test_terms_print_in_canonical_order(self):
         jumble = concat(X2, X1) + X1 + wpoly(Node(A0, A0))
