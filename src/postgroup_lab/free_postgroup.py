@@ -5,8 +5,8 @@ of a word on the generators extends the magma rows letter by letter:
 a running permutation pi starts at the identity and, for each letter a
 of the acting word, absorbs the letter permutation of b := pi^{-1}(a),
 where pi^{-1} moves a negative letter by acting on its base generator.
-This is the unique extension making pi multiplicative for the group
-law u * v := u . (u |> v), and it is well defined on unreduced
+This is the unique extension with pi(u * v) = pi(u) o pi(v) for the
+group law u * v := u . (u |> v), and it is well defined on unreduced
 spellings of the same group element.
 
 The letterwise action on a target word sends each letter of v through
@@ -14,14 +14,15 @@ the finished permutation, preserving signs and reducedness.
 
 jmap and kmap are mutually inverse bijections of the set of reduced
 words that exchange the free-group product with the * product; jmap is
-the identity on generators and a homomorphism from dot to *.
+the identity on generators and a homomorphism from dot to *.  By that
+law, both run in one linear pass that carries pi along the letters.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 
-from .magma import MagmaTable, generator_perm
+from .magma import MagmaTable, generator_perm, generator_perm_inv
 from .perms import compose_perm, identity_perm, invert_perm
 from .words import (
     Alphabet,
@@ -43,14 +44,11 @@ def _check_alphabet(magma: MagmaTable, u: ReducedWord) -> None:
 
 def act_perm_raw(magma: MagmaTable, letters: Sequence[Letter]) -> tuple[int, ...]:
     """Run the extension recursion over any letter sequence, reduced or not."""
-    n = len(magma)
-    pi = identity_perm(n)
-    pi_inv = identity_perm(n)
+    pi = pi_inv = identity_perm(len(magma))
     for letter in letters:
         b = Letter(pi_inv[letter.gen], letter.sign)
-        step = generator_perm(magma, b)
-        pi = compose_perm(pi, step)
-        pi_inv = compose_perm(invert_perm(step), pi_inv)
+        pi = compose_perm(pi, generator_perm(magma, b))
+        pi_inv = compose_perm(generator_perm_inv(magma, b), pi_inv)
     return pi
 
 
@@ -94,21 +92,21 @@ def opposite_act(magma: MagmaTable, u: ReducedWord, v: ReducedWord) -> ReducedWo
 
 
 def jmap(magma: MagmaTable, u: ReducedWord) -> ReducedWord:
-    """Rewrite a dot-word as a *-word, one letter at a time.
+    """Rewrite a dot-word as a *-word in one pass.
 
     Positive letters map to themselves.  The negative letter of m maps
-    to its *-inverse, the single letter lam(m)^{-1}.  The images are
-    then multiplied with the * product from the left.
+    to its *-inverse, the single letter lam(m)^{-1}.  Their * product
+    appends each image moved by pi, the permutation of the product so
+    far, and pi then absorbs the image's letter permutation.
     """
     _check_alphabet(magma, u)
-    out = ReducedWord(u.alphabet, ())
+    pi = identity_perm(len(magma))
+    moved: list[Letter] = []
     for letter in u.letters:
-        if letter.sign == 1:
-            image = letter
-        else:
-            image = Letter(magma.lam[letter.gen], -1)
-        out = gl_product(magma, out, ReducedWord(u.alphabet, (image,)))
-    return out
+        image = letter if letter.sign == 1 else Letter(magma.lam[letter.gen], -1)
+        moved.append(Letter(pi[image.gen], image.sign))
+        pi = compose_perm(pi, generator_perm(magma, image))
+    return reduce_word(u.alphabet, moved)
 
 
 def kmap(magma: MagmaTable, v: ReducedWord) -> ReducedWord:
@@ -118,24 +116,19 @@ def kmap(magma: MagmaTable, v: ReducedWord) -> ReducedWord:
     equal pi(a'), where pi is the permutation accumulated from the
     previous solved letters, so a' = pi^{-1}(b).  A positive a' came
     from itself; a negative letter p^{-1} came from lam^{-1}(p)^{-1}.
-    The recovered letters are concatenated with the dot product.
+    The recovered letters are reduced in one stack pass.
     """
     _check_alphabet(magma, v)
-    n = len(magma)
-    pi_inv = identity_perm(n)
+    pi_inv = identity_perm(len(magma))
     recovered: list[Letter] = []
     for letter in v.letters:
         solved = Letter(pi_inv[letter.gen], letter.sign)
-        step = generator_perm(magma, solved)
-        pi_inv = compose_perm(invert_perm(step), pi_inv)
+        pi_inv = compose_perm(generator_perm_inv(magma, solved), pi_inv)
         if solved.sign == 1:
             recovered.append(solved)
         else:
             recovered.append(Letter(magma.lam_inv[solved.gen], -1))
-    out = ReducedWord(v.alphabet, ())
-    for letter in recovered:
-        out = dot(out, ReducedWord(v.alphabet, (letter,)))
-    return out
+    return reduce_word(v.alphabet, recovered)
 
 
 def parse_over(magma: MagmaTable, text: str) -> ReducedWord:

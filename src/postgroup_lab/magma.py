@@ -7,8 +7,8 @@ unique b with m |> b = m, to be a bijection as well.  Both checks are
 exhaustive and produce concrete witnesses on failure.
 
 Validation precomputes everything the free post-group needs per
-letter: lam, its inverse, and the inverse of each row, so that the
-letter permutation of a negative generator is a plain table lookup.
+letter: lam, its inverse, and the inverse of each row, so that every
+letter permutation and its inverse are plain table lookups.
 """
 
 from __future__ import annotations
@@ -121,6 +121,13 @@ def generator_perm(magma: MagmaTable, letter: Letter) -> tuple[int, ...]:
     if letter.sign == 1:
         return magma.triangle[letter.gen]
     return magma.row_inv[magma.lam_inv[letter.gen]]
+
+
+def generator_perm_inv(magma: MagmaTable, letter: Letter) -> tuple[int, ...]:
+    """The inverse of generator_perm(magma, letter), read from the table."""
+    if letter.sign == 1:
+        return magma.row_inv[letter.gen]
+    return magma.triangle[magma.lam_inv[letter.gen]]
 
 
 def magma_from_names(

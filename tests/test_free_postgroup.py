@@ -5,11 +5,16 @@ Frozen values below were worked out by hand on the cyclic-shift magma
 whose rows are shifts by 0, 2, 1.  Laws are then checked on random
 words with hypothesis, including well-definedness of the action on
 unreduced spellings, which bypasses the public reducing constructors.
+The single-pass kernels are compared with the letter-at-a-time
+versions kept in reference_free on words of up to 200 letters.
 """
 
 from __future__ import annotations
 
+import random
+
 import pytest
+import reference_free as ref
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -25,19 +30,49 @@ from postgroup_lab.free_postgroup import (
     opposite_act,
     parse_over,
 )
-from postgroup_lab.magma import cyclic_shift_magma, shift_family_magma, trivial_magma
+from postgroup_lab.magma import (
+    cyclic_shift_magma,
+    shift_family_magma,
+    trivial_magma,
+    validate_magma,
+)
 from postgroup_lab.perms import compose_perm, identity_perm
-from postgroup_lab.words import Letter, dot, invert, reduce_word, unit, word_str
+from postgroup_lab.words import (
+    Letter,
+    ReducedWord,
+    dot,
+    invert,
+    reduce_word,
+    unit,
+    word_str,
+)
 
 SHIFT3 = cyclic_shift_magma(3)
 TRIV3 = trivial_magma(("x0", "x1", "x2"))
 MIXED3 = shift_family_magma((0, 2, 1))
 MAGMAS = (SHIFT3, TRIV3, MIXED3)
 ABC = SHIFT3.alphabet
+# shift rows all commute; the rows of NONABELIAN3 do not, so a kernel
+# that composes permutations in the wrong order fails on it
+NONABELIAN3 = validate_magma(ABC.names, ((0, 1, 2), (0, 2, 1), (1, 2, 0)))
+ORACLE_MAGMAS = MAGMAS + (shift_family_magma((0, 2, 4, 1, 3)), NONABELIAN3)
 
 letters_st = st.builds(Letter, st.integers(0, 2), st.sampled_from((1, -1)))
 raw_st = st.lists(letters_st, max_size=10)
 words_st = st.builds(lambda ls: reduce_word(ABC, ls), raw_st)
+
+
+def long_raw_st(magma, max_size=200):
+    # draw the length first: st.lists alone averages a handful of letters
+    letter = st.builds(
+        Letter, st.integers(0, len(magma) - 1), st.sampled_from((1, -1))
+    )
+    return st.integers(0, max_size).flatmap(
+        lambda size: st.lists(letter, min_size=size, max_size=size)
+    )
+
+
+oracle_magma_st = st.sampled_from(ORACLE_MAGMAS)
 
 
 class TestFrozenExamples:
@@ -204,3 +239,42 @@ class TestTrivialMagmaDegeneracies:
     @given(u=words_st, v=words_st)
     def test_opposite_action_is_conjugation(self, u, v):
         assert opposite_act(TRIV3, u, v) == dot(dot(u, v), invert(u))
+
+
+class TestAgainstReference:
+    # no deadline: the quadratic reference takes tens of ms on 200 letters
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_act_perm_raw_on_unreduced_letters(self, data):
+        magma = data.draw(oracle_magma_st)
+        letters = data.draw(long_raw_st(magma))
+        assert act_perm_raw(magma, letters) == ref.act_perm_raw(magma, letters)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_jmap_and_kmap(self, data):
+        magma = data.draw(oracle_magma_st)
+        u = reduce_word(magma.alphabet, data.draw(long_raw_st(magma)))
+        assert jmap(magma, u) == ref.jmap(magma, u)
+        assert kmap(magma, u) == ref.kmap(magma, u)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_gl_product(self, data):
+        magma = data.draw(oracle_magma_st)
+        u = reduce_word(magma.alphabet, data.draw(long_raw_st(magma)))
+        v = reduce_word(magma.alphabet, data.draw(long_raw_st(magma)))
+        assert gl_product(magma, u, v) == ref.gl_product(magma, u, v)
+
+
+def test_roundtrips_on_a_word_of_ten_thousand_letters():
+    # no timing assertion: the letter-at-a-time versions take minutes here
+    rng = random.Random(3)
+    letters = [Letter(0, 1)]
+    while len(letters) < 10_000:
+        letter = Letter(rng.randrange(3), rng.choice((1, -1)))
+        if letter != letters[-1].inverse():
+            letters.append(letter)
+    u = ReducedWord(MIXED3.alphabet, tuple(letters))
+    assert kmap(MIXED3, jmap(MIXED3, u)) == u
+    assert jmap(MIXED3, kmap(MIXED3, u)) == u

@@ -15,6 +15,7 @@ from postgroup_lab.errors import (
 from postgroup_lab.magma import (
     cyclic_shift_magma,
     generator_perm,
+    generator_perm_inv,
     load_magma,
     magma_from_names,
     magma_to_json,
@@ -110,6 +111,16 @@ class TestPrecomputedMaps:
                 pos = magma.triangle[magma.lam_inv[gen]]
                 assert compose_perm(pos, neg) == identity_perm(3)
                 assert is_perm(neg)
+
+    def test_generator_perm_inv_undoes_generator_perm(self):
+        for magma in (SHIFT3, TRIV3, MIXED3, shift_family_magma((0, 2, 4, 1, 3))):
+            n = len(magma)
+            for gen in range(n):
+                for sign in (1, -1):
+                    perm = generator_perm(magma, Letter(gen, sign))
+                    inv = generator_perm_inv(magma, Letter(gen, sign))
+                    assert compose_perm(perm, inv) == identity_perm(n)
+                    assert compose_perm(inv, perm) == identity_perm(n)
 
 
 @given(st.integers(1, 6))
