@@ -23,11 +23,17 @@ from .finite_postgroup import (
     DEFAULT_MAX_SIZE,
     GroupTable,
     PostGroupTable,
-    _rows_from_names,
     validate_group,
     validate_postgroup,
 )
-from .jsonio import load_json_object, name_list, require_keys
+from .jsonio import (
+    check_rows,
+    load_json_object,
+    name_list,
+    require_keys,
+    rows_from_names,
+    tables_to_json,
+)
 
 DEFAULT_ENUMERATION_CAP = 4096
 
@@ -55,21 +61,7 @@ def validate_action(
         raise ShapeError("point names must be distinct")
     n_points = len(point_names)
     n_group = len(group)
-    if len(table) != n_points:
-        raise ShapeError(f"action table has {len(table)} rows for {n_points} points")
-    rows = []
-    for i, row in enumerate(table):
-        if len(row) != n_group:
-            raise ShapeError(
-                f"action row {point_names[i]!r} has length {len(row)}, "
-                f"expected {n_group}"
-            )
-        for value in row:
-            if not isinstance(value, int) or not 0 <= value < n_points:
-                raise ShapeError(
-                    f"action row {point_names[i]!r} has out-of-range entry {value!r}"
-                )
-        rows.append(tuple(row))
+    rows = check_rows(table, point_names, n_group, n_points, "action")
 
     e = group.unit
     for m in range(n_points):
@@ -91,7 +83,7 @@ def validate_action(
                         f"m.(g.h) = {point_names[rows[m][group.table[g][h]]]}",
                         witness=(m, g, h),
                     )
-    return RightAction(group, point_names, tuple(rows))
+    return RightAction(group, point_names, rows)
 
 
 @dataclass(frozen=True)
@@ -196,22 +188,21 @@ def load_action(path: str | Path) -> RightAction:
         raise ShapeError(f"{path}: group must be an object")
     require_keys(group_obj, ("elements", "table"), context=f"{path}: group")
     g_elements = name_list(group_obj["elements"], context=f"{path}: group elements")
-    table = _rows_from_names(g_elements, group_obj["table"], f"{path}: group table")
+    table = rows_from_names(g_elements, group_obj["table"], f"{path}: group table")
     group = validate_group(g_elements, table)
 
     points = name_list(obj["set"], context=f"{path}: set")
-    p_index = {name: i for i, name in enumerate(points)}
 
     mapping = obj["action"]
     if not isinstance(mapping, dict):
         raise ShapeError(f"{path}: action must be an object")
-    unknown = [p for p in mapping if p not in p_index]
+    unknown = [p for p in mapping if p not in points]
     if unknown:
         raise ShapeError(f"{path}: action mentions unknown point(s) {unknown}")
     missing = [p for p in points if p not in mapping]
     if missing:
         raise ShapeError(f"{path}: action missing point(s) {missing}")
-    rows = []
+    targets = []
     for point in points:
         row_obj = mapping[point]
         if not isinstance(row_obj, dict):
@@ -226,25 +217,15 @@ def load_action(path: str | Path) -> RightAction:
             raise ShapeError(
                 f"{path}: action[{point!r}] missing element(s) {missing_g}"
             )
-        row = []
-        for g in g_elements:
-            target = row_obj[g]
-            if not isinstance(target, str) or target not in p_index:
-                raise ShapeError(
-                    f"{path}: action[{point!r}][{g!r}] is not a point name"
-                )
-            row.append(p_index[target])
-        rows.append(row)
+        targets.append([row_obj[g] for g in g_elements])
+    rows = rows_from_names(points, targets, f"{path}: action")
     return validate_action(group, points, rows)
 
 
 def action_to_json(action: RightAction) -> dict:
     g_names = action.group.elements
     return {
-        "group": {
-            "elements": list(g_names),
-            "table": [[g_names[v] for v in row] for row in action.group.table],
-        },
+        "group": tables_to_json(g_names, table=action.group.table),
         "set": list(action.points),
         "action": {
             point: {

@@ -13,7 +13,7 @@ import os
 import sys
 
 from .errors import AxiomError, NotPrimitiveError, SchemaError
-from .jsonio import dump_json
+from .jsonio import dump_json, tables_to_json
 from .magma import load_magma, save_magma
 from .words import word_str
 from .free_postgroup import act, gl_inverse, gl_product, jmap, kmap, parse_over
@@ -136,14 +136,7 @@ def cmd_braiding(args: argparse.Namespace) -> int:
             a, b = braid.left[g][h], braid.right[g][h]
             print(f"sigma({name_g}, {name_h}) = ({names[a]}, {names[b]})")
     if args.out is not None:
-        dump_json(
-            {
-                "elements": list(names),
-                "left": [[names[v] for v in row] for row in braid.left],
-                "right": [[names[v] for v in row] for row in braid.right],
-            },
-            args.out,
-        )
+        dump_json(tables_to_json(names, left=braid.left, right=braid.right), args.out)
     return 0
 
 

@@ -29,7 +29,7 @@ from .errors import (
     SizeCapError,
     SkewBraceLawError,
 )
-from .jsonio import dump_json, load_json_object, name_list, require_keys
+from .jsonio import check_rows, dump_json, load_tables, tables_to_json
 from .perms import compose_perm, invert_perm
 
 DEFAULT_MAX_SIZE = 64
@@ -41,22 +41,6 @@ def _check_size(n: int, max_size: int | None, what: str) -> None:
             f"{what} on {n} elements exceeds the exhaustive-check cap "
             f"of {max_size}; pass max_size=None to force"
         )
-
-
-def _check_table_shape(
-    n: int, table: Sequence[Sequence[int]], what: str
-) -> tuple[tuple[int, ...], ...]:
-    if len(table) != n:
-        raise ShapeError(f"{what} has {len(table)} rows for {n} elements")
-    rows = []
-    for i, row in enumerate(table):
-        if len(row) != n:
-            raise ShapeError(f"{what} row {i} has length {len(row)}, expected {n}")
-        for value in row:
-            if not isinstance(value, int) or not 0 <= value < n:
-                raise ShapeError(f"{what} row {i} has out-of-range entry {value!r}")
-        rows.append(tuple(row))
-    return tuple(rows)
 
 
 @dataclass(frozen=True)
@@ -91,7 +75,7 @@ def validate_group(
     if n == 0:
         raise ShapeError(f"{what} needs at least one element")
     _check_size(n, max_size, f"{what} validation")
-    rows = _check_table_shape(n, table, what)
+    rows = check_rows(table, names, n, n, what)
 
     unit = None
     for e in range(n):
@@ -148,9 +132,6 @@ class PostGroupTable:
     def name(self, i: int) -> str:
         return self.elements[i]
 
-    def dot_mul(self, a: int, b: int) -> int:
-        return self.dot[a][b]
-
     def tri(self, a: int, b: int) -> int:
         return self.triangle[a][b]
 
@@ -173,7 +154,7 @@ def validate_postgroup(
     group = validate_group(elements, dot, max_size=max_size, what="dot product")
     names = group.elements
     n = len(names)
-    rows = _check_table_shape(n, triangle, "triangle")
+    rows = check_rows(triangle, names, n, n, "triangle")
 
     for a in range(n):
         row = rows[a]
@@ -637,77 +618,31 @@ def symmetric_group(n: int) -> GroupTable:
 
 
 def postgroup_to_json(pg: PostGroupTable) -> dict:
-    names = pg.elements
-    return {
-        "elements": list(names),
-        "dot": [[names[v] for v in row] for row in pg.dot],
-        "triangle": [[names[v] for v in row] for row in pg.triangle],
-    }
+    return tables_to_json(pg.elements, dot=pg.dot, triangle=pg.triangle)
 
 
 def skew_brace_to_json(brace: SkewBrace) -> dict:
-    names = brace.elements
-    return {
-        "elements": list(names),
-        "dot": [[names[v] for v in row] for row in brace.dot],
-        "star": [[names[v] for v in row] for row in brace.star],
-    }
-
-
-def group_to_json(group: GroupTable) -> dict:
-    names = group.elements
-    return {
-        "elements": list(names),
-        "dot": [[names[v] for v in row] for row in group.table],
-    }
-
-
-def _rows_from_names(
-    elements: tuple[str, ...], value: object, context: str
-) -> list[list[int]]:
-    index = {name: i for i, name in enumerate(elements)}
-    if not isinstance(value, list) or not all(isinstance(r, list) for r in value):
-        raise ShapeError(f"{context}: expected an array of arrays")
-    rows = []
-    for row in value:
-        out = []
-        for entry in row:
-            if not isinstance(entry, str) or entry not in index:
-                raise ShapeError(f"{context}: unknown element {entry!r}")
-            out.append(index[entry])
-        rows.append(out)
-    return rows
+    return tables_to_json(brace.elements, dot=brace.dot, star=brace.star)
 
 
 def load_postgroup(
     path: str | Path, *, max_size: int | None = DEFAULT_MAX_SIZE
 ) -> PostGroupTable:
-    obj = load_json_object(path)
-    require_keys(obj, ("elements", "dot", "triangle"), context=str(path))
-    elements = name_list(obj["elements"], context=f"{path}: elements")
-    dot = _rows_from_names(elements, obj["dot"], f"{path}: dot")
-    triangle = _rows_from_names(elements, obj["triangle"], f"{path}: triangle")
+    elements, (dot, triangle) = load_tables(path, ("dot", "triangle"))
     return validate_postgroup(elements, dot, triangle, max_size=max_size)
 
 
 def load_skew_brace(
     path: str | Path, *, max_size: int | None = DEFAULT_MAX_SIZE
 ) -> SkewBrace:
-    obj = load_json_object(path)
-    require_keys(obj, ("elements", "dot", "star"), context=str(path))
-    elements = name_list(obj["elements"], context=f"{path}: elements")
-    dot = _rows_from_names(elements, obj["dot"], f"{path}: dot")
-    star = _rows_from_names(elements, obj["star"], f"{path}: star")
+    elements, (dot, star) = load_tables(path, ("dot", "star"))
     return validate_skew_brace(elements, dot, star, max_size=max_size)
 
 
 def load_group(
     path: str | Path, *, max_size: int | None = DEFAULT_MAX_SIZE
 ) -> GroupTable:
-    obj = load_json_object(path)
-    require_keys(obj, ("elements", "dot"), context=str(path))
-    elements = name_list(obj["elements"], context=f"{path}: elements")
-    dot = _rows_from_names(elements, obj["dot"], f"{path}: dot")
+    elements, (dot,) = load_tables(path, ("dot",))
     return validate_group(elements, dot, max_size=max_size)
 
 
@@ -720,4 +655,4 @@ def save_skew_brace(brace: SkewBrace, path: str | Path | None) -> str:
 
 
 def save_group(group: GroupTable, path: str | Path | None) -> str:
-    return dump_json(group_to_json(group), path)
+    return dump_json(tables_to_json(group.elements, dot=group.table), path)

@@ -17,8 +17,8 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import DiagonalityError, LeftRegularityError, ShapeError, UnknownNameError
-from .jsonio import dump_json, load_json_object, name_list, require_keys
+from .errors import DiagonalityError, LeftRegularityError
+from .jsonio import check_rows, dump_json, load_tables, rows_from_names, tables_to_json
 from .perms import invert_perm
 from .words import Alphabet, Letter
 
@@ -50,20 +50,7 @@ def validate_magma(
     """Check shape, left regularity, and diagonality, in that order."""
     alphabet = Alphabet(tuple(elements))
     n = len(alphabet)
-    if len(triangle) != n:
-        raise ShapeError(f"triangle has {len(triangle)} rows for {n} elements")
-    rows: list[tuple[int, ...]] = []
-    for i, row in enumerate(triangle):
-        if len(row) != n:
-            raise ShapeError(
-                f"row {alphabet.names[i]!r} has length {len(row)}, expected {n}"
-            )
-        for value in row:
-            if not isinstance(value, int) or not 0 <= value < n:
-                raise ShapeError(
-                    f"row {alphabet.names[i]!r} contains out-of-range entry {value!r}"
-                )
-        rows.append(tuple(row))
+    rows = check_rows(triangle, alphabet.names, n, n, "triangle")
 
     for i, row in enumerate(rows):
         seen: dict[int, int] = {}
@@ -92,7 +79,7 @@ def validate_magma(
 
     return MagmaTable(
         alphabet=alphabet,
-        triangle=tuple(rows),
+        triangle=rows,
         lam=lam,
         lam_inv=invert_perm(lam),
         row_inv=row_inv,
@@ -134,41 +121,17 @@ def magma_from_names(
     elements: Sequence[str], rows: Sequence[Sequence[str]]
 ) -> MagmaTable:
     """Validate a table whose entries are element names."""
-    alphabet = Alphabet(tuple(elements))
-    index_rows = []
-    for row in rows:
-        index_rows.append([_lookup(alphabet, value) for value in row])
-    return validate_magma(elements, index_rows)
-
-
-def _lookup(alphabet: Alphabet, name: object) -> int:
-    if not isinstance(name, str):
-        raise ShapeError(f"table entry {name!r} is not a string")
-    return alphabet.index(name)
+    return validate_magma(elements, rows_from_names(elements, rows, "triangle"))
 
 
 def load_magma(path: str | Path) -> MagmaTable:
     """Read a magma file: {"elements": [...], "triangle": [[names]]}."""
-    obj = load_json_object(path)
-    require_keys(obj, ("elements", "triangle"), context=str(path))
-    elements = name_list(obj["elements"], context=f"{path}: elements")
-    triangle = obj["triangle"]
-    if not isinstance(triangle, list) or not all(
-        isinstance(row, list) for row in triangle
-    ):
-        raise ShapeError(f"{path}: triangle must be an array of arrays")
-    try:
-        return magma_from_names(elements, triangle)
-    except UnknownNameError as exc:
-        raise ShapeError(f"{path}: {exc}") from exc
+    elements, (triangle,) = load_tables(path, ("triangle",))
+    return validate_magma(elements, triangle)
 
 
 def magma_to_json(magma: MagmaTable) -> dict:
-    names = magma.alphabet.names
-    return {
-        "elements": list(names),
-        "triangle": [[names[v] for v in row] for row in magma.triangle],
-    }
+    return tables_to_json(magma.alphabet.names, triangle=magma.triangle)
 
 
 def save_magma(magma: MagmaTable, path: str | Path | None) -> str:

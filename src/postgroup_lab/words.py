@@ -8,7 +8,7 @@ keeps words reduced, meaning no letter is adjacent to its own inverse.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from .errors import AlphabetMismatchError, UnknownNameError
@@ -171,10 +171,3 @@ def invert(u: ReducedWord) -> ReducedWord:
 def conjugate(u: ReducedWord, v: ReducedWord) -> ReducedWord:
     """Return u . v . u^{-1}."""
     return dot(dot(u, v), invert(u))
-
-
-def word_from_sequence(
-    alphabet: Alphabet, pairs: Sequence[tuple[int, int]]
-) -> ReducedWord:
-    """Build and reduce a word from raw (generator, sign) pairs."""
-    return reduce_word(alphabet, (Letter(g, s) for g, s in pairs))

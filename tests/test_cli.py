@@ -12,7 +12,9 @@ from postgroup_lab.finite_postgroup import (
     postgroup_to_json,
     save_group,
     save_postgroup,
+    save_skew_brace,
     symmetric_group,
+    to_skew_brace,
     trivial_postgroup,
 )
 from postgroup_lab.magma import cyclic_shift_magma, save_magma, trivial_magma
@@ -240,3 +242,77 @@ class TestSampleCorpus:
         assert main(["validate-magma", str(src), "--out", str(out)]) == 0
         assert json.loads(out.read_text()) == json.loads(src.read_text())
         capsys.readouterr()
+
+
+# Every verb that reads a table file, with a valid input of its kind.
+TABLE_VERBS = {
+    "validate-magma": ("magma", lambda f: ["validate-magma", f]),
+    "act": ("magma", lambda f: ["act", "--magma", f, "x0", "x1"]),
+    "star": ("magma", lambda f: ["star", "--magma", f, "x0", "x1"]),
+    "star-inv": ("magma", lambda f: ["star-inv", "--magma", f, "x0"]),
+    "jmap": ("magma", lambda f: ["jmap", "--magma", f, "x0"]),
+    "kmap": ("magma", lambda f: ["kmap", "--magma", f, "x0"]),
+    "check-postgroup": ("postgroup", lambda f: ["check-postgroup", f]),
+    "braiding": ("postgroup", lambda f: ["braiding", f]),
+    "ybe": ("postgroup", lambda f: ["ybe", f]),
+    "to-brace": ("postgroup", lambda f: ["to-brace", f]),
+    "opposite": ("postgroup", lambda f: ["opposite", f]),
+    "from-brace": ("brace", lambda f: ["from-brace", f]),
+    "make-trivial": ("group", lambda f: ["make-trivial", "--group", f]),
+    "make-conjugation": ("group", lambda f: ["make-conjugation", "--group", f]),
+    "from-action": ("action", lambda f: ["from-action", f]),
+}
+
+DEEP = 200_000
+
+
+def _first_key(text: str) -> str:
+    return json.dumps(next(iter(json.loads(text))))
+
+
+# Each fault turns the text of a valid file into bytes the loader must
+# refuse before any table is read.
+FILE_FAULTS = {
+    "not-utf8": lambda text: text.encode().replace(b'"', b'"\xff', 1),
+    "deep-nesting": lambda text: text.replace(
+        "{", '{"nested": ' + "[" * DEEP + "]" * DEEP + ", ", 1
+    ).encode(),
+    "duplicate-key": lambda text: text.replace(
+        "{", "{" + _first_key(text) + ": null, ", 1
+    ).encode(),
+    "huge-integer": lambda text: text.replace(
+        "{", '{"size": ' + "9" * 5000 + ", ", 1
+    ).encode(),
+}
+
+
+@pytest.fixture(scope="module")
+def valid_tables(tmp_path_factory):
+    brace = tmp_path_factory.mktemp("tables") / "brace.json"
+    save_skew_brace(to_skew_brace(trivial_postgroup(cyclic_group(3))), brace)
+    group = brace.with_name("group.json")
+    save_group(cyclic_group(3), group)
+    return {
+        "magma": (DATA / "shift3.json").read_text(),
+        "postgroup": (DATA / "z3-trivial.json").read_text(),
+        "brace": brace.read_text(),
+        "group": group.read_text(),
+        "action": (DATA / "z2-fix2-action.json").read_text(),
+    }
+
+
+class TestUnreadableTableFiles:
+    @pytest.mark.parametrize("fault", sorted(FILE_FAULTS))
+    @pytest.mark.parametrize("verb", sorted(TABLE_VERBS))
+    def test_refused_as_bad_input(
+        self, verb, fault, valid_tables, tmp_path, capsys
+    ):
+        kind, argv = TABLE_VERBS[verb]
+        path = tmp_path / "table.json"
+        path.write_bytes(FILE_FAULTS[fault](valid_tables[kind]))
+        assert main(argv(str(path))) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        refusals = ("is not valid JSON: ", "is nested too deeply")
+        assert captured.err.startswith(tuple(f"error: {path} {r}" for r in refusals))
+        assert len(captured.err.splitlines()) == 1
