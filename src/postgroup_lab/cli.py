@@ -12,7 +12,7 @@ import argparse
 import os
 import sys
 
-from .errors import AxiomError, NotPrimitiveError, SchemaError
+from .errors import AxiomError, NotPrimitiveError, SchemaError, SizeCapError
 from .jsonio import dump_json, tables_to_json
 from .magma import load_magma, save_magma
 from .words import word_str
@@ -34,12 +34,15 @@ from .finite_postgroup import (
 )
 from .action_postgroup import build_gauge_postgroup, load_action
 from .tensor_postlie import (
+    DEGREE_CAP,
+    WORD_COUNT_CAP,
     Leaf,
     TensorPoly,
     format_poly,
     format_word,
     kmap_tensor,
     kmap_tensor_inverse,
+    word_count,
     words_of_degree,
 )
 from .magnus import (
@@ -187,6 +190,12 @@ def cmd_from_action(args: argparse.Namespace) -> int:
 
 
 def cmd_kmap_tensor(args: argparse.Namespace) -> int:
+    # the degree test comes first: it keeps word_count off huge degrees
+    if args.degree > DEGREE_CAP or word_count(args.degree, args.generators) > WORD_COUNT_CAP:
+        raise SizeCapError(
+            f"--degree {args.degree} --generators {args.generators} is past the "
+            f"cap of degree {DEGREE_CAP} or {WORD_COUNT_CAP} words"
+        )
     image = kmap_tensor_inverse if args.inverse else kmap_tensor
     label = "K^-1" if args.inverse else "K"
     for word in words_of_degree(args.degree, args.generators):

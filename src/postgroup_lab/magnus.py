@@ -2,11 +2,11 @@
 
 A series holds one TensorPoly per power of t up to a fixed order;
 products keep the cross terms that fit and drop the rest.  The module
-builds the dot exponential of a generator, the twisted exponential and
-logarithm, the deformation series alpha(tx) = S_*(exp^.(tx)) |> x, the
-right flow Y' = Y.alpha solved order by order, and the twisted Magnus
-series whose twisted exponential reproduces exp^.(tx).  All
-coefficients are exact.
+builds the dot exponential of a generator, the twisted exponential, one
+logarithm for both products, the deformation series alpha(tx) =
+S_*(exp^.(tx)) |> x, the right flow Y' = Y.alpha solved order by order,
+and the twisted Magnus series: the twisted logarithm of exp^.(tx),
+checked against the paper's Bernoulli fixed point.  All exact.
 """
 
 from __future__ import annotations
@@ -140,11 +140,6 @@ def exp_dot_series(x: MagmaTree, order: int) -> TruncatedSeries:
     return TruncatedSeries(tuple(polys))
 
 
-def _resize(series: TruncatedSeries, order: int) -> TruncatedSeries:
-    polys = [series.coeff(k) for k in range(order + 1)]
-    return TruncatedSeries(tuple(polys))
-
-
 def exp_star_series(z: TruncatedSeries, order: int | None = None) -> TruncatedSeries:
     """exp of a zero-constant series for the twisted product."""
     if order is None:
@@ -152,7 +147,7 @@ def exp_star_series(z: TruncatedSeries, order: int | None = None) -> TruncatedSe
     _check_order(order)
     if not z.coeffs[0].is_zero():
         raise ShapeError("twisted exp needs a vanishing constant term")
-    z = _resize(z, order)
+    z = TruncatedSeries(tuple(z.coeff(k) for k in range(order + 1)))
     total = TruncatedSeries.unit(order)
     power = TruncatedSeries.unit(order)
     factorial = 1
@@ -163,8 +158,8 @@ def exp_star_series(z: TruncatedSeries, order: int | None = None) -> TruncatedSe
     return total
 
 
-def log_dot_series(y: TruncatedSeries) -> TruncatedSeries:
-    """log of a unit-constant series for the concatenation product."""
+def _log_series(y: TruncatedSeries, product) -> TruncatedSeries:
+    """log of a unit-constant series: sum_m (-1)^(m+1)/m (Y - 1)^m."""
     _check_order(y.order)
     if y.coeffs[0] != TensorPoly.unit():
         raise ShapeError("log needs the constant coefficient to be the unit")
@@ -172,10 +167,15 @@ def log_dot_series(y: TruncatedSeries) -> TruncatedSeries:
     total = TruncatedSeries.zero(y.order)
     power = TruncatedSeries.unit(y.order)
     for m in range(1, y.order + 1):
-        power = series_concat(power, shifted)
+        power = product(power, shifted)
         sign = Fraction(1, m) if m % 2 else Fraction(-1, m)
         total = total + sign * power
     return total
+
+
+def log_dot_series(y: TruncatedSeries) -> TruncatedSeries:
+    """log of a unit-constant series for the concatenation product."""
+    return _log_series(y, series_concat)
 
 
 @lru_cache(maxsize=None)
@@ -197,12 +197,9 @@ def bernoulli_modified(n: int) -> Fraction:
 def alpha_series(x: MagmaTree, order: int) -> TruncatedSeries:
     """The deformation series S_*(exp^.(tx)) |> x; t^k has degree k+1."""
     _check_order(order)
+    letter = TensorPoly({(x,): 1})
     exp = exp_dot_series(x, order)
-    twisted = TruncatedSeries(tuple(antipode_star(c) for c in exp.coeffs))
-    target = TruncatedSeries(
-        tuple([TensorPoly({(x,): 1})] + [TensorPoly.zero()] * order)
-    )
-    return series_triangle(twisted, target)
+    return TruncatedSeries(tuple(triangle(antipode_star(c), letter) for c in exp.coeffs))
 
 
 def check_alpha_ode(x: MagmaTree, order: int, series: TruncatedSeries | None = None) -> CheckResult:
@@ -249,18 +246,26 @@ def _magnus_rhs(omega: TruncatedSeries, alpha: TruncatedSeries) -> TruncatedSeri
 
 
 def magnus_gl(x: MagmaTree, order: int) -> TruncatedSeries:
-    """Twisted Magnus series: omega with exp^*(omega) = exp^.(tx).
+    """Twisted Magnus series: omega with exp^*(omega) = exp^.(tx), so
+    omega is the twisted log of exp^.(tx).  check_magnus_fixed_point
+    compares it with the paper's Bernoulli recursion."""
+    return _log_series(exp_dot_series(x, order), series_star)
 
-    Built as the fixed point of omega = integral of
-    sum_n (B~_n / n!) ad^n_omega(alpha), one order at a time.
-    """
-    _check_order(order)
-    alpha = alpha_series(x, order)
-    coeffs = [TensorPoly.zero() for _ in range(order + 1)]
-    for k in range(order):
-        rhs = _magnus_rhs(TruncatedSeries(tuple(coeffs)), alpha)
-        coeffs[k + 1] = Fraction(1, k + 1) * rhs.coeffs[k]
-    return TruncatedSeries(tuple(coeffs))
+
+def check_magnus_fixed_point(x: MagmaTree, omega: TruncatedSeries) -> CheckResult:
+    """omega = integral of sum_n (B~_n / n!) ad^n_omega(alpha(tx)).
+
+    Order k+1 of the right side reads omega only through order k, so the
+    fixed point is unique and one evaluation checks every order.  The
+    top order of the right side is never compared, so alpha stops short."""
+    alpha = alpha_series(x, max(omega.order - 1, 0))
+    fixed = integrate(_magnus_rhs(omega, alpha))
+    for k, coeff in enumerate(omega.coeffs):
+        if fixed.coeff(k) != coeff:
+            return CheckResult(
+                False, f"Magnus series misses the Bernoulli fixed point at order {k}"
+            )
+    return CheckResult(True)
 
 
 def check_primitivity_of_log(y: TruncatedSeries) -> CheckResult:
@@ -274,12 +279,14 @@ def check_primitivity_of_log(y: TruncatedSeries) -> CheckResult:
 
 def flow_matches_twisted_exp(x: MagmaTree, order: int) -> CheckResult:
     """The solved flow is K applied to exp^.(tx), coefficient by
-    coefficient, and the twisted exp of the Magnus series is exp^.(tx)."""
+    coefficient; the twisted exp of the Magnus series is exp^.(tx); and
+    the Magnus series is the paper's Bernoulli fixed point."""
     flow = solve_right_flow(x, order)
     exp = exp_dot_series(x, order)
     for k in range(order + 1):
         if flow.coeffs[k] != kmap_tensor(exp.coeffs[k]):
             return CheckResult(False, f"flow deviates from the twist map at order {k}")
-    if exp_star_series(magnus_gl(x, order)) != exp:
+    omega = magnus_gl(x, order)
+    if exp_star_series(omega) != exp:
         return CheckResult(False, "twisted exp of the Magnus series misses exp^.(tx)")
-    return CheckResult(True)
+    return check_magnus_fixed_point(x, omega)

@@ -21,11 +21,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 from typing import Union
 
 from .errors import CheckResult, NotPrimitiveError, SizeCapError
 
 DEGREE_CAP = 8
+WORD_COUNT_CAP = 100_000
 
 _ONE = Fraction(1)
 
@@ -460,6 +462,12 @@ def words_of_degree(degree: int, generators: int) -> tuple:
             for tail in words_of_degree(degree - head_degree, generators):
                 out.append((head,) + tail)
     return tuple(sorted(out, key=word_key))
+
+
+def word_count(degree: int, generators: int) -> int:
+    """len(words_of_degree(degree, generators)) without enumerating:
+    Catalan(degree) shapes times generators^degree leaf labels."""
+    return comb(2 * degree, degree) // (degree + 1) * generators**degree
 
 
 def _generator_name(index: int, names=None) -> str:

@@ -1,6 +1,7 @@
 """End-to-end checks of the command line, driven in process."""
 
 import argparse
+import hashlib
 import json
 from pathlib import Path
 
@@ -195,6 +196,30 @@ class TestTensorVerbs:
     def test_magnus_needs_one_generator(self, capsys):
         assert main(["magnus", "--order", "2", "--generators", "2"]) == 2
         assert "one generator" in capsys.readouterr().err
+
+    # SHA-256 of the stdout of the order-by-order solver, before Omega
+    # became the twisted log of exp^.(tx)
+    @pytest.mark.parametrize("order, digest", [
+        (0, "9602e949d2e2f36e51bee4623abe975910ccd9c9ff3a98111f811da8335d647f"),
+        (1, "6935857cef29bc22162b8eb7e1642d1acf7746c83924bd6f2696cd66ca134688"),
+        (2, "bf73c61692edd74a10c2114431d80531b33ba1adeaf66e9ad37bbbe31755b2d2"),
+        (3, "d0497dd5f65a42e130dd520cf7476d6471664ec63fd3cf5e77aecc9cf5a148ef"),
+        (4, "2b9fd45830b7835e9eb9463b301df2607ed25f51f659303f292924fb55ae9913"),
+        (5, "1e0b425e43c82f12ec103121a17c2639893d154831bae4d027bf547e9e2085bc"),
+        (6, "55ea33a71fbea9fa7777a99e4d7071bd824040388bf6fa66d45d6a3cada59740"),
+    ])
+    def test_magnus_output_is_pinned(self, capsys, order, digest):
+        assert main(["magnus", "--order", str(order)]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("generators, degree", [("3", "7"), ("1000000", "8")])
+    def test_kmap_tensor_refuses_too_many_words(self, capsys, generators, degree):
+        argv = ["kmap-tensor", "--generators", generators, "--degree", degree]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "100000 words" in captured.err
 
 
 class TestSelftestAndPlumbing:

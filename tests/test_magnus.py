@@ -15,12 +15,15 @@ from fractions import Fraction
 
 import pytest
 
-from postgroup_lab.errors import ShapeError, SizeCapError
+import reference_magnus as ref
+from postgroup_lab.errors import NotPrimitiveError, ShapeError, SizeCapError
 from postgroup_lab.magnus import (
     TruncatedSeries,
+    _log_series,
     alpha_series,
     bernoulli_modified,
     check_alpha_ode,
+    check_magnus_fixed_point,
     check_primitivity_of_log,
     derivative,
     exp_dot_series,
@@ -248,6 +251,39 @@ class TestMagnus:
         omega = magnus_gl(X, 5)
         for k in range(1, 6):
             assert is_primitive(omega.coeff(k))
+
+    @pytest.mark.parametrize("order", range(7))
+    def test_equals_the_order_by_order_solver(self, order):
+        omega = magnus_gl(X, order)
+        assert omega.coeffs == ref.magnus_gl(X, order).coeffs
+        assert check_magnus_fixed_point(X, omega).ok
+
+    def test_twisted_log_undoes_twisted_exp(self):
+        for z in (magnus_gl(X, 5), integrate(alpha_series(X, 4))):
+            assert _log_series(exp_star_series(z), series_star).coeffs == z.coeffs
+
+
+class TestMagnusFixedPoint:
+    """Negative controls: a wrong Omega must fail, and at the right order."""
+
+    @staticmethod
+    def perturbed(k, word):
+        broken = list(magnus_gl(X, 5).coeffs)
+        broken[k] = broken[k] + TensorPoly.from_word(word)
+        return TruncatedSeries(tuple(broken))
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_extra_tree_fails_at_its_order(self, k):
+        comb = X
+        for _ in range(k - 1):
+            comb = Node(comb, X)
+        report = check_magnus_fixed_point(X, self.perturbed(k, (comb,)))
+        assert not report.ok
+        assert report.witness.endswith(f"at order {k}")
+
+    def test_non_primitive_perturbation_is_refused_by_the_bracket(self):
+        with pytest.raises(NotPrimitiveError):
+            check_magnus_fixed_point(X, self.perturbed(2, (X, X)))
 
 
 class TestSeriesProducts:

@@ -44,6 +44,7 @@ from postgroup_lab.tensor_postlie import (
     unshuffle,
     word_degree,
     word_key,
+    word_count,
     words_of_degree,
 )
 
@@ -157,6 +158,11 @@ class TestTrees:
     def test_word_counts(self):
         assert [len(words_of_degree(d, 2)) for d in range(5)] == [1, 2, 8, 40, 224]
         assert words_of_degree(0, 2) == ((),)
+
+    @pytest.mark.parametrize("generators", [1, 2, 3])
+    def test_closed_form_word_count(self, generators):
+        for degree in range(6):
+            assert word_count(degree, generators) == len(words_of_degree(degree, generators))
 
 
 # ------------------------------------------------------------------- poly
