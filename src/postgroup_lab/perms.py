@@ -11,7 +11,7 @@ def identity_perm(n: int) -> tuple[int, ...]:
 
 def compose_perm(p: Sequence[int], q: Sequence[int]) -> tuple[int, ...]:
     """Return p after q, so compose_perm(p, q)[i] == p[q[i]]."""
-    return tuple(p[q[i]] for i in range(len(q)))
+    return tuple(map(p.__getitem__, q))
 
 
 def invert_perm(p: Sequence[int]) -> tuple[int, ...]:

@@ -15,16 +15,21 @@ _linear or _bilinear.  The unshuffle coproduct is a TensorPoly keyed by
 The unshuffle coproduct of a word of length k has 2^k terms, so the
 expensive entry points refuse inputs above DEGREE_CAP leaves unless the
 caller passes max_degree=None.
+
+Trees are interned (see interned.py): Leaf in the module table _LEAVES,
+keyed by index, and Node in _NODES, keyed by the ids of its children.
+Equal trees are the same object, so tree equality is identity and each
+tree's hash is computed once, when it is built.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 from typing import Union
 
 from .errors import CheckResult, NotPrimitiveError, SizeCapError
+from .interned import Interned
 
 DEGREE_CAP = 8
 WORD_COUNT_CAP = 100_000
@@ -32,15 +37,34 @@ WORD_COUNT_CAP = 100_000
 _ONE = Fraction(1)
 
 
-@dataclass(frozen=True)
-class Leaf:
+_LEAVES: dict[int, Leaf] = {}
+_NODES: dict[tuple[int, int], Node] = {}
+
+
+class Leaf(Interned):
+    __slots__ = ("index",)
     index: int
 
+    def __new__(cls, index: int) -> Leaf:
+        leaf = _LEAVES.get(index)
+        if leaf is None:
+            leaf = _LEAVES[index] = cls._build((index,))
+        return leaf
 
-@dataclass(frozen=True)
-class Node:
-    left: "MagmaTree"
-    right: "MagmaTree"
+
+class Node(Interned):
+    # keying by id is safe: a node keeps its children alive, and the
+    # table keeps the node
+    __slots__ = ("left", "right")
+    left: MagmaTree
+    right: MagmaTree
+
+    def __new__(cls, left: MagmaTree, right: MagmaTree) -> Node:
+        key = (id(left), id(right))
+        node = _NODES.get(key)
+        if node is None:
+            node = _NODES[key] = cls._build((left, right))
+        return node
 
 
 MagmaTree = Union[Leaf, Node]

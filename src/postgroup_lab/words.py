@@ -4,6 +4,10 @@ A word is a sequence of letters, each a generator with a sign.  The
 text form is whitespace separated: ``a b' a`` means a . b^{-1} . a, and
 the empty word prints as the reserved token ``e``.  All arithmetic
 keeps words reduced, meaning no letter is adjacent to its own inverse.
+
+Letters are interned (see interned.py) in the module table _LETTERS,
+keyed by (gen, sign): equal letters are the same object, so letter
+equality is identity and each letter's hash is computed once.
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from .errors import AlphabetMismatchError, UnknownNameError
+from .interned import Interned
 
 UNIT_TOKEN = "e"
 
@@ -49,16 +54,24 @@ class Alphabet:
             raise UnknownNameError(f"unknown generator {name!r}") from None
 
 
-@dataclass(frozen=True, slots=True)
-class Letter:
+_LETTERS: dict[tuple[int, int], Letter] = {}
+
+
+class Letter(Interned):
     """A generator index with a sign, +1 for the generator, -1 inverse."""
 
+    __slots__ = ("gen", "sign")
     gen: int
     sign: int
 
-    def __post_init__(self) -> None:
-        if self.sign not in (1, -1):
-            raise ValueError(f"letter sign must be +1 or -1, got {self.sign}")
+    def __new__(cls, gen: int, sign: int) -> Letter:
+        key = (gen, sign)
+        letter = _LETTERS.get(key)
+        if letter is None:
+            if sign not in (1, -1):
+                raise ValueError(f"letter sign must be +1 or -1, got {sign}")
+            letter = _LETTERS[key] = cls._build(key)
+        return letter
 
     def inverse(self) -> Letter:
         return Letter(self.gen, -self.sign)

@@ -213,6 +213,16 @@ class TestTensorVerbs:
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    def test_kmap_tensor_inverse_output_is_pinned(self, capsys):
+        # SHA-256 of the stdout while letters and trees were dataclasses
+        argv = ["kmap-tensor", "--generators", "2", "--degree", "5", "--inverse"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out.encode()
+        assert len(out) == 161_152
+        assert hashlib.sha256(out).hexdigest() == (
+            "73bb64e49fce6fd812344f0d8509da264c6e4540d4fdc84a18f43031fce4e09b"
+        )
+
     @pytest.mark.parametrize("generators, degree", [("3", "7"), ("1000000", "8")])
     def test_kmap_tensor_refuses_too_many_words(self, capsys, generators, degree):
         argv = ["kmap-tensor", "--generators", generators, "--degree", degree]

@@ -132,6 +132,21 @@ def test_cyclic_shift_any_size_validates(n):
     assert is_perm(magma.lam)
 
 
+def compose_perm_oracle(p, q):
+    """The index-loop composition compose_perm replaced."""
+    return tuple(p[q[i]] for i in range(len(q)))
+
+
+@given(st.integers(0, 7).flatmap(
+    lambda n: st.tuples(st.permutations(range(n)), st.permutations(range(n)))
+))
+def test_compose_perm_matches_index_loop(pq):
+    p, q = pq
+    for a, b in ((p, q), (tuple(p), tuple(q))):
+        assert compose_perm(a, b) == compose_perm_oracle(a, b)
+        assert type(compose_perm(a, b)) is tuple
+
+
 @given(st.lists(st.permutations(range(3)), min_size=3, max_size=3))
 def test_row_permutations_validate_iff_diagonal_bijective(rows):
     lam = [invert_perm(tuple(row))[m] for m, row in enumerate(rows)]
