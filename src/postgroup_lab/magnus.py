@@ -219,10 +219,13 @@ def check_alpha_ode(x: MagmaTree, order: int, series: TruncatedSeries | None = N
 
 def solve_right_flow(x: MagmaTree, order: int) -> TruncatedSeries:
     """Solve Y' = Y.alpha(tx), Y(0) = 1, order by order."""
-    _check_order(order)
-    alpha = alpha_series(x, order)
+    return right_flow(alpha_series(x, order))
+
+
+def right_flow(alpha: TruncatedSeries) -> TruncatedSeries:
+    """Solve Y' = Y.alpha, Y(0) = 1, through the order of alpha."""
     polys = [TensorPoly.unit()]
-    for k in range(order):
+    for k in range(alpha.order):
         total = TensorPoly.zero()
         for i in range(k + 1):
             total = total + concat(polys[i], alpha.coeffs[k - i])
@@ -252,13 +255,13 @@ def magnus_gl(x: MagmaTree, order: int) -> TruncatedSeries:
     return _log_series(exp_dot_series(x, order), series_star)
 
 
-def check_magnus_fixed_point(x: MagmaTree, omega: TruncatedSeries) -> CheckResult:
+def check_magnus_fixed_point(alpha: TruncatedSeries, omega: TruncatedSeries) -> CheckResult:
     """omega = integral of sum_n (B~_n / n!) ad^n_omega(alpha(tx)).
 
-    Order k+1 of the right side reads omega only through order k, so the
-    fixed point is unique and one evaluation checks every order.  The
-    top order of the right side is never compared, so alpha stops short."""
-    alpha = alpha_series(x, max(omega.order - 1, 0))
+    Order k+1 of the right side reads omega and alpha only through order
+    k, so the fixed point is unique and one evaluation checks every order.
+    The top order is never compared, so alpha is cut to omega.order - 1."""
+    alpha = TruncatedSeries(alpha.coeffs[:max(omega.order, 1)])
     fixed = integrate(_magnus_rhs(omega, alpha))
     for k, coeff in enumerate(omega.coeffs):
         if fixed.coeff(k) != coeff:
@@ -278,15 +281,19 @@ def check_primitivity_of_log(y: TruncatedSeries) -> CheckResult:
 
 
 def flow_matches_twisted_exp(x: MagmaTree, order: int) -> CheckResult:
-    """The solved flow is K applied to exp^.(tx), coefficient by
-    coefficient; the twisted exp of the Magnus series is exp^.(tx); and
-    the Magnus series is the paper's Bernoulli fixed point."""
-    flow = solve_right_flow(x, order)
-    exp = exp_dot_series(x, order)
-    for k in range(order + 1):
+    """check_twisted_flow on the series of x, built through the order."""
+    alpha = alpha_series(x, order)
+    return check_twisted_flow(x, alpha, right_flow(alpha), magnus_gl(x, order))
+
+
+def check_twisted_flow(x: MagmaTree, alpha, flow, omega) -> CheckResult:
+    """The flow of alpha(tx) is K applied to exp^.(tx), coefficient by
+    coefficient; the twisted exp of the Magnus series omega is exp^.(tx);
+    and omega is the paper's Bernoulli fixed point."""
+    exp = exp_dot_series(x, omega.order)
+    for k in range(omega.order + 1):
         if flow.coeffs[k] != kmap_tensor(exp.coeffs[k]):
             return CheckResult(False, f"flow deviates from the twist map at order {k}")
-    omega = magnus_gl(x, order)
     if exp_star_series(omega) != exp:
         return CheckResult(False, "twisted exp of the Magnus series misses exp^.(tx)")
-    return check_magnus_fixed_point(x, omega)
+    return check_magnus_fixed_point(alpha, omega)

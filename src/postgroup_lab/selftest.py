@@ -10,7 +10,6 @@ scales the budgets accordingly.
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
 from time import perf_counter
@@ -52,31 +51,9 @@ from .finite_postgroup import (
     validate_postgroup,
 )
 from .action_postgroup import build_gauge_postgroup, validate_action
-from .tensor_postlie import (
-    Leaf,
-    Node,
-    TensorPoly,
-    antipode_star,
-    check_postlie_axioms,
-    concat,
-    gl_lie_bracket,
-    gl_star,
-    kmap_tensor,
-    pair_tensor,
-    triangle,
-    trees_of_degree,
-    unshuffle,
-    words_of_degree,
-)
-from .magnus import (
-    TruncatedSeries,
-    alpha_series,
-    bernoulli_modified,
-    check_alpha_ode,
-    check_primitivity_of_log,
-    flow_matches_twisted_exp,
-    solve_right_flow,
-)
+from .tensor_postlie import Leaf, Node, TensorPoly, kmap_tensor
+from .magnus import TruncatedSeries, alpha_series, bernoulli_modified, check_alpha_ode
+from .laws import check_posthopf_laws, check_twist_hopf, magnus_identities
 from fractions import Fraction
 
 
@@ -213,122 +190,14 @@ def _criterion_twist_golden_values(seed: int, level: str):
     return True, "two and six term expansions match with unit coefficients"
 
 
-def _criterion_twist_isomorphism(seed: int, level: str):
-    limit = 5 if level == "full" else 4
-    by_degree = {d: words_of_degree(d, 2) for d in range(limit + 1)}
-    images = {}
-    pairs = 0
-    for da in range(limit + 1):
-        for a in by_degree[da]:
-            pa = TensorPoly.from_word(a)
-            ka = images.setdefault(a, kmap_tensor(pa))
-            got = unshuffle(kmap_tensor(pa))
-            expected = TensorPoly()
-            for (u, v), c in unshuffle(pa).terms.items():
-                expected = expected + c * pair_tensor(
-                    kmap_tensor(TensorPoly.from_word(u)),
-                    kmap_tensor(TensorPoly.from_word(v)),
-                )
-            if got != expected:
-                return False, f"coproduct does not commute with the twist on {a}"
-            for db in range(limit - da + 1):
-                for b in by_degree[db]:
-                    pb = TensorPoly.from_word(b)
-                    kb = images.setdefault(b, kmap_tensor(pb))
-                    pairs += 1
-                    if kmap_tensor(gl_star(pa, pb)) != concat(ka, kb):
-                        return False, f"product law fails on {a}, {b}"
-    return True, f"{pairs} basis pairs through total degree {limit}"
-
-
-def _criterion_operator_axioms(seed: int, level: str):
-    return operator_axiom_sweep(5 if level == "full" else 4)
-
-
-def operator_axiom_sweep(limit: int):
-    """Exhaustive operator and bracket axiom suite through a total degree.
-
-    Checks, over 2 generators: the product splitting of the triangle,
-    the star action law, both axioms of the induced bracket action in
-    the original and opposite form, the twisted bracket as the star
-    commutator on primitives, and the recovery of the plain product
-    from the twisted one.
-    """
-    by_degree = {d: words_of_degree(d, 2) for d in range(limit + 1)}
-    word_triples = 0
-    for da in range(limit + 1):
-        for a in by_degree[da]:
-            pa = TensorPoly.from_word(a)
-            legs = unshuffle(pa).terms
-            for db in range(limit - da + 1):
-                for b in by_degree[db]:
-                    pb = TensorPoly.from_word(b)
-                    star_ab = gl_star(pa, pb)
-                    for dc in range(limit - da - db + 1):
-                        for c in by_degree[dc]:
-                            pc = TensorPoly.from_word(c)
-                            word_triples += 1
-                            split = TensorPoly.zero()
-                            for (a1, a2), coeff in legs.items():
-                                split = split + coeff * concat(
-                                    triangle(TensorPoly.from_word(a1), pb),
-                                    triangle(TensorPoly.from_word(a2), pc),
-                                )
-                            if triangle(pa, concat(pb, pc)) != split:
-                                return False, f"product split fails on {a}, {b}, {c}"
-                            if triangle(star_ab, pc) != triangle(pa, triangle(pb, pc)):
-                                return False, f"action law fails on {a}, {b}, {c}"
-    trees = [t for d in range(1, limit) for t in trees_of_degree(d, 2)]
-    tree_degrees = {t: d for d in range(1, limit) for t in trees_of_degree(d, 2)}
-    lie_triples = 0
-    for x, y, z in itertools.product(trees, repeat=3):
-        if tree_degrees[x] + tree_degrees[y] + tree_degrees[z] > limit:
-            continue
-        lie_triples += 1
-        report = check_postlie_axioms(
-            TensorPoly.from_word((x,)),
-            TensorPoly.from_word((y,)),
-            TensorPoly.from_word((z,)),
-        )
-        if not report.ok:
-            return False, f"{report.witness} on trees {x}, {y}, {z}"
-    for x, y in itertools.product(trees, repeat=2):
-        if tree_degrees[x] + tree_degrees[y] > limit:
-            continue
-        px, py = TensorPoly.from_word((x,)), TensorPoly.from_word((y,))
-        if gl_lie_bracket(px, py) != gl_star(px, py) - gl_star(py, px):
-            return False, f"twisted bracket is not the star commutator on {x}, {y}"
-    remark_pairs = 0
-    for da in range(limit + 1):
-        for a in by_degree[da]:
-            pa = TensorPoly.from_word(a)
-            legs = unshuffle(pa).terms
-            for db in range(limit - da + 1):
-                for b in by_degree[db]:
-                    pb = TensorPoly.from_word(b)
-                    remark_pairs += 1
-                    total = TensorPoly.zero()
-                    for (a1, a2), coeff in legs.items():
-                        total = total + coeff * gl_star(
-                            TensorPoly.from_word(a1),
-                            triangle(antipode_star(TensorPoly.from_word(a2)), pb),
-                        )
-                    if total != concat(pa, pb):
-                        return False, f"twisted recovery of a.b fails on {a}, {b}"
-    return True, (
-        f"{word_triples} word triples, {lie_triples} tree triples, "
-        f"{remark_pairs} recovery pairs through total degree {limit}"
-    )
+def _sweep(check):
+    """The criterion that runs check through degree 5 at full level, 4 at quick."""
+    return lambda seed, level: check(5 if level == "full" else 4)
 
 
 def _criterion_magnus_flow(seed: int, level: str):
     order = 6 if level == "full" else 5
-    x = Leaf(0)
-    for report in (
-        check_alpha_ode(x, order),
-        flow_matches_twisted_exp(x, order),
-        check_primitivity_of_log(solve_right_flow(x, order)),
-    ):
+    for _, report in magnus_identities(Leaf(0), order)[1]:
         if not report.ok:
             return False, report.witness
     listed = tuple(map(Fraction, ("1", "1/2", "1/6", "0", "-1/30", "0", "1/42")))
@@ -377,8 +246,8 @@ CRITERIA = (
     ("finite-corpus-suite", _criterion_finite_corpus, 10.0),
     ("pregroup-involutivity", _criterion_pregroup_involutive, 10.0),
     ("twist-golden-values", _criterion_twist_golden_values, 5.0),
-    ("twist-hopf-isomorphism", _criterion_twist_isomorphism, 60.0),
-    ("posthopf-postlie-axioms", _criterion_operator_axioms, 60.0),
+    ("twist-hopf-isomorphism", _sweep(check_twist_hopf), 60.0),
+    ("posthopf-postlie-axioms", _sweep(check_posthopf_laws), 60.0),
     ("magnus-flow-identities", _criterion_magnus_flow, 120.0),
     ("negative-controls", _criterion_negative_controls, 10.0),
 )

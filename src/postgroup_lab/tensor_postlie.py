@@ -28,7 +28,7 @@ from fractions import Fraction
 from math import comb
 from typing import Union
 
-from .errors import CheckResult, NotPrimitiveError, SizeCapError
+from .errors import NotPrimitiveError, SizeCapError
 from .interned import Interned
 
 DEGREE_CAP = 8
@@ -427,37 +427,6 @@ def gl_lie_bracket(left: TensorPoly, right: TensorPoly, max_degree=DEGREE_CAP) -
         + triangle(left, right, max_degree)
         - triangle(right, left, max_degree)
     )
-
-
-def check_postlie_axioms(x: TensorPoly, y: TensorPoly, z: TensorPoly,
-                         max_degree=DEGREE_CAP) -> CheckResult:
-    """Both post-Lie axioms for the primitives x, y, z, and the same
-    axioms for the opposite structure (negated bracket, twisted act)."""
-    _require_primitive(x, y, z)
-    _check_cap(max_degree, x, y, z)
-
-    def tri(a, b):
-        return triangle(a, b, max_degree=None)
-
-    def bra(a, b):
-        return concat(a, b) - concat(b, a)
-
-    def opp_tri(a, b):
-        return tri(a, b) + bra(a, b)
-
-    def opp_bra(a, b):
-        return bra(b, a)
-
-    for name, t, b in (("", tri, bra), ("opposite ", opp_tri, opp_bra)):
-        lhs = t(x, b(y, z))
-        rhs = b(t(x, y), z) + b(y, t(x, z))
-        if lhs != rhs:
-            return CheckResult(False, f"{name}derivation axiom fails")
-        assoc_xy = t(x, t(y, z)) - t(t(x, y), z)
-        assoc_yx = t(y, t(x, z)) - t(t(y, x), z)
-        if t(b(x, y), z) != assoc_xy - assoc_yx:
-            return CheckResult(False, f"{name}associator axiom fails")
-    return CheckResult(True)
 
 
 def trees_of_degree(degree: int, generators: int) -> tuple:

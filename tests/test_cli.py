@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from postgroup_lab import laws
 from postgroup_lab.cli import _resolve_seed, main
 from postgroup_lab.finite_postgroup import (
     cyclic_group,
@@ -186,6 +187,28 @@ class TestTensorVerbs:
         assert main(["check-posthopf", "--degree", "2"]) == 0
         assert capsys.readouterr().out.startswith("operator and bracket axioms: OK")
 
+    @pytest.mark.parametrize("degree, counts", [
+        (0, "1 word triples, 0 tree triples, 1 recovery pairs"),
+        (1, "7 word triples, 0 tree triples, 5 recovery pairs"),
+        (2, "43 word triples, 0 tree triples, 25 recovery pairs"),
+        (3, "267 word triples, 8 tree triples, 137 recovery pairs"),
+        (4, "1707 word triples, 56 tree triples, 809 recovery pairs"),
+    ])
+    def test_check_posthopf_line_is_pinned(self, capsys, degree, counts):
+        assert main(["check-posthopf", "--degree", str(degree)]) == 0
+        assert capsys.readouterr().out == (
+            f"operator and bracket axioms: OK; {counts} through total degree {degree}\n"
+        )
+
+    def test_check_posthopf_refuses_degree_past_cap(self, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(laws, "words_of_degree", lambda *args: calls.append(args))
+        assert main(["check-posthopf", "--degree", "6"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "cap 5" in captured.err
+        assert calls == []
+
     def test_magnus_prints_coefficients_and_checks(self, capsys):
         assert main(["magnus", "--order", "2"]) == 0
         out = capsys.readouterr().out.splitlines()
@@ -198,7 +221,8 @@ class TestTensorVerbs:
         assert "one generator" in capsys.readouterr().err
 
     # SHA-256 of the stdout of the order-by-order solver, before Omega
-    # became the twisted log of exp^.(tx)
+    # became the twisted log of exp^.(tx); order 7 is pinned from the
+    # twisted log
     @pytest.mark.parametrize("order, digest", [
         (0, "9602e949d2e2f36e51bee4623abe975910ccd9c9ff3a98111f811da8335d647f"),
         (1, "6935857cef29bc22162b8eb7e1642d1acf7746c83924bd6f2696cd66ca134688"),
@@ -207,6 +231,7 @@ class TestTensorVerbs:
         (4, "2b9fd45830b7835e9eb9463b301df2607ed25f51f659303f292924fb55ae9913"),
         (5, "1e0b425e43c82f12ec103121a17c2639893d154831bae4d027bf547e9e2085bc"),
         (6, "55ea33a71fbea9fa7777a99e4d7071bd824040388bf6fa66d45d6a3cada59740"),
+        (7, "cec861390ff187b96ea418288dd9bad5b2d27938071a428cdef542b0a423cdff"),
     ])
     def test_magnus_output_is_pinned(self, capsys, order, digest):
         assert main(["magnus", "--order", str(order)]) == 0

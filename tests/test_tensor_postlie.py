@@ -16,6 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from postgroup_lab.errors import NotPrimitiveError, SizeCapError
+from postgroup_lab.laws import check_postlie_axioms
 from postgroup_lab.tensor_postlie import (
     DEGREE_CAP,
     Leaf,
@@ -23,7 +24,6 @@ from postgroup_lab.tensor_postlie import (
     TensorPoly,
     antipode_dot,
     antipode_star,
-    check_postlie_axioms,
     concat,
     counit,
     format_poly,
