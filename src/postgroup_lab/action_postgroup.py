@@ -7,8 +7,9 @@ product f * g evaluates f at the point and g at the translate.  This
 models gauge transformations over a base of points.
 
 Enumerating all |G|^|M| maps materializes honest tables, so the
-builder refuses blowups beyond a configurable cap and then hands the
-tables to the exhaustive post-group validator.
+builder checks |G|^|M| against the finite layer's table-size cap
+before it enumerates anything, then hands the tables to the exhaustive
+post-group validator.
 """
 
 from __future__ import annotations
@@ -18,11 +19,11 @@ from dataclasses import dataclass
 from itertools import product
 from pathlib import Path
 
-from .errors import ActionLawError, ShapeError, SizeCapError
+from .errors import ActionLawError, ShapeError
 from .finite_postgroup import (
-    DEFAULT_MAX_SIZE,
     GroupTable,
     PostGroupTable,
+    check_size,
     validate_group,
     validate_postgroup,
 )
@@ -34,8 +35,6 @@ from .jsonio import (
     rows_from_names,
     tables_to_json,
 )
-
-DEFAULT_ENUMERATION_CAP = 4096
 
 
 @dataclass(frozen=True)
@@ -54,11 +53,7 @@ def validate_action(
     group: GroupTable, points: Sequence[str], table: Sequence[Sequence[int]]
 ) -> RightAction:
     """Unit and composition laws, checked over all points and pairs."""
-    point_names = tuple(points)
-    if not point_names:
-        raise ShapeError("action needs at least one point")
-    if len(set(point_names)) != len(point_names):
-        raise ShapeError("point names must be distinct")
+    point_names = name_list(points, "action points")
     n_points = len(point_names)
     n_group = len(group)
     rows = check_rows(table, point_names, n_group, n_points, "action")
@@ -134,35 +129,21 @@ def gauge_name(action: RightAction, values: tuple[int, ...]) -> str:
     return "(" + ",".join(action.group.elements[v] for v in values) + ")"
 
 
-def enumerate_gauge_maps(
-    action: RightAction, cap: int = DEFAULT_ENUMERATION_CAP
-) -> list[GaugeMap]:
-    """All maps from points to the group, in lexicographic point order."""
+def enumerate_gauge_maps(action: RightAction) -> list[GaugeMap]:
+    """All maps from points to the group, in lexicographic point order,
+    once their number |G|^|M| has passed the table-size check."""
     n_group = len(action.group)
     n_points = len(action.points)
-    total = n_group**n_points
-    if total > cap:
-        raise SizeCapError(
-            f"enumerating {total} gauge maps exceeds the cap of {cap}"
-        )
+    check_size(n_group**n_points, "gauge post-group")
     return [
         GaugeMap(action, values)
         for values in product(range(n_group), repeat=n_points)
     ]
 
 
-def build_gauge_postgroup(
-    action: RightAction,
-    cap: int = DEFAULT_ENUMERATION_CAP,
-    *,
-    max_size: int | None = DEFAULT_MAX_SIZE,
-) -> PostGroupTable:
-    """Materialize the post-group of all gauge maps and validate it.
-
-    The validation itself is exhaustive, so its max_size cap (default
-    64) binds sooner than the enumeration cap unless lifted.
-    """
-    maps = enumerate_gauge_maps(action, cap)
+def build_gauge_postgroup(action: RightAction) -> PostGroupTable:
+    """Materialize the post-group of all gauge maps and validate it."""
+    maps = enumerate_gauge_maps(action)
     index = {f.values: i for i, f in enumerate(maps)}
     elements = tuple(gauge_name(action, f.values) for f in maps)
     dot_rows = []
@@ -170,7 +151,7 @@ def build_gauge_postgroup(
     for f in maps:
         dot_rows.append([index[gauge_dot(f, g).values] for g in maps])
         tri_rows.append([index[gauge_act(f, g).values] for g in maps])
-    return validate_postgroup(elements, dot_rows, tri_rows, max_size=max_size)
+    return validate_postgroup(elements, dot_rows, tri_rows)
 
 
 def load_action(path: str | Path) -> RightAction:

@@ -8,8 +8,8 @@ a * b := a . (a |> b).  The derived * table is again a group on the
 same elements, the Grossman-Larson group of the structure.
 
 Every check in this module is exhaustive and reports a witness in
-element names.  Checks refuse tables larger than max_size elements
-(default 64); pass max_size=None to lift the cap.
+element names.  Tables of more than TABLE_SIZE_CAP = 64 elements are
+refused by check_size, before any table of that size is built.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import permutations
+from math import factorial
 from pathlib import Path
 
 from .errors import (
@@ -25,21 +26,23 @@ from .errors import (
     CheckResult,
     GroupAxiomError,
     PostGroupLawError,
-    ShapeError,
     SizeCapError,
     SkewBraceLawError,
 )
-from .jsonio import check_rows, dump_json, load_tables, tables_to_json
+from .jsonio import check_rows, dump_json, load_tables, name_list, tables_to_json
 from .perms import compose_perm, invert_perm
 
-DEFAULT_MAX_SIZE = 64
+TABLE_SIZE_CAP = 64
 
 
-def _check_size(n: int, max_size: int | None, what: str) -> None:
-    if max_size is not None and n > max_size:
+def check_size(n: int, what: str) -> None:
+    """The size check of the finite and gauge layers: at most
+    TABLE_SIZE_CAP elements, checked before the table is built."""
+    if n > TABLE_SIZE_CAP:
+        count = n if n.bit_length() <= 64 else "more than 2^64"
         raise SizeCapError(
-            f"{what} on {n} elements exceeds the exhaustive-check cap "
-            f"of {max_size}; pass max_size=None to force"
+            f"{what} on {count} elements exceeds the exhaustive-check cap "
+            f"of {TABLE_SIZE_CAP}"
         )
 
 
@@ -66,15 +69,12 @@ def validate_group(
     elements: Sequence[str],
     table: Sequence[Sequence[int]],
     *,
-    max_size: int | None = DEFAULT_MAX_SIZE,
     what: str = "group",
 ) -> GroupTable:
     """Exhaustive group axioms: unit, associativity, inverses."""
-    names = tuple(elements)
+    names = name_list(elements, what)
     n = len(names)
-    if n == 0:
-        raise ShapeError(f"{what} needs at least one element")
-    _check_size(n, max_size, f"{what} validation")
+    check_size(n, f"{what} validation")
     rows = check_rows(table, names, n, n, what)
 
     unit = None
@@ -146,12 +146,10 @@ def validate_postgroup(
     elements: Sequence[str],
     dot: Sequence[Sequence[int]],
     triangle: Sequence[Sequence[int]],
-    *,
-    max_size: int | None = DEFAULT_MAX_SIZE,
 ) -> PostGroupTable:
     """Check the dot group, the automorphism property of every row of
     the triangle table, and the weighted associativity law."""
-    group = validate_group(elements, dot, max_size=max_size, what="dot product")
+    group = validate_group(elements, dot, what="dot product")
     names = group.elements
     n = len(names)
     rows = check_rows(triangle, names, n, n, "triangle")
@@ -210,12 +208,10 @@ def gl_star_inverse(pg: PostGroupTable) -> tuple[int, ...]:
     return tuple(out)
 
 
-def gl_group(
-    pg: PostGroupTable, *, max_size: int | None = DEFAULT_MAX_SIZE
-) -> GroupTable:
+def gl_group(pg: PostGroupTable) -> GroupTable:
     """The * product as a validated group with the same unit."""
     star = gl_star_table(pg)
-    group = validate_group(pg.elements, star, max_size=max_size, what="star product")
+    group = validate_group(pg.elements, star, what="star product")
     if group.unit != pg.unit:
         raise PostGroupLawError("star product changed the unit")
     if group.inv != gl_star_inverse(pg):
@@ -223,9 +219,7 @@ def gl_group(
     return group
 
 
-def opposite(
-    pg: PostGroupTable, *, max_size: int | None = DEFAULT_MAX_SIZE
-) -> PostGroupTable:
+def opposite(pg: PostGroupTable) -> PostGroupTable:
     """The opposite post-group on the reversed dot product.
 
     The companion action a |>' b = a . (a |> b) . a^{.-1} keeps the
@@ -239,7 +233,7 @@ def opposite(
         )
         for a in range(n)
     )
-    return validate_postgroup(pg.elements, dot_op, tri_op, max_size=max_size)
+    return validate_postgroup(pg.elements, dot_op, tri_op)
 
 
 def is_pregroup(pg: PostGroupTable) -> bool:
@@ -263,9 +257,7 @@ class BraidMap:
         return (self.left[g][h], self.right[g][h])
 
 
-def braiding(
-    pg: PostGroupTable, *, max_size: int | None = DEFAULT_MAX_SIZE
-) -> BraidMap:
+def braiding(pg: PostGroupTable) -> BraidMap:
     """The braiding sigma(g, h) = (g |> h, (g |> h)^{*-1} * g * h).
 
     The result is verified to satisfy the braided-group axioms over
@@ -280,16 +272,11 @@ def braiding(
         for g in range(n)
     )
     braid = BraidMap(pg.elements, left, right)
-    verify_braided_group(gl_group(pg, max_size=max_size), braid, max_size=max_size)
+    verify_braided_group(gl_group(pg), braid)
     return braid
 
 
-def verify_braided_group(
-    group: GroupTable,
-    braid: BraidMap,
-    *,
-    max_size: int | None = DEFAULT_MAX_SIZE,
-) -> None:
+def verify_braided_group(group: GroupTable, braid: BraidMap) -> None:
     """Braided-group axioms for sigma over the group product.
 
     Checks that sigma is a bijection of pairs, that the two components
@@ -302,7 +289,7 @@ def verify_braided_group(
     n = len(names)
     if braid.elements != names:
         raise BraidedGroupError("braiding and group use different element names")
-    _check_size(n, max_size, "braided-group verification")
+    check_size(n, "braided-group verification")
     mul = group.table
     e = group.unit
 
@@ -378,14 +365,12 @@ def invert_braiding(braid: BraidMap) -> BraidMap:
     )
 
 
-def check_braid_equation(
-    braid: BraidMap, *, max_size: int | None = DEFAULT_MAX_SIZE
-) -> CheckResult:
+def check_braid_equation(braid: BraidMap) -> CheckResult:
     """(sigma x 1)(1 x sigma)(sigma x 1) == (1 x sigma)(sigma x 1)(1 x sigma)
     on all triples."""
     names = braid.elements
     n = len(names)
-    _check_size(n, max_size, "braid equation check")
+    check_size(n, "braid equation check")
 
     def s12(t):
         a, b = braid.sigma(t[0], t[1])
@@ -411,13 +396,11 @@ def check_braid_equation(
     return CheckResult(True)
 
 
-def check_ybe(
-    braid: BraidMap, *, max_size: int | None = DEFAULT_MAX_SIZE
-) -> CheckResult:
+def check_ybe(braid: BraidMap) -> CheckResult:
     """R12 R13 R23 == R23 R13 R12 for R = flip after sigma."""
     names = braid.elements
     n = len(names)
-    _check_size(n, max_size, "Yang-Baxter check")
+    check_size(n, "Yang-Baxter check")
 
     def rmap(g, h):
         a, b = braid.sigma(g, h)
@@ -469,24 +452,19 @@ def _triple(names: tuple[str, ...], t: tuple[int, int, int]) -> str:
     return "(" + ", ".join(names[i] for i in t) + ")"
 
 
-def postgroup_from_braided(
-    group: GroupTable,
-    braid: BraidMap,
-    *,
-    max_size: int | None = DEFAULT_MAX_SIZE,
-) -> PostGroupTable:
+def postgroup_from_braided(group: GroupTable, braid: BraidMap) -> PostGroupTable:
     """Rebuild the post-group from a braided group over (G, *).
 
     The action is the left component of sigma and the dot product is
     g . h := g * (g^{*-1} -> h).
     """
-    verify_braided_group(group, braid, max_size=max_size)
+    verify_braided_group(group, braid)
     n = len(group)
     dot = tuple(
         tuple(group.table[g][braid.left[group.inv[g]][h]] for h in range(n))
         for g in range(n)
     )
-    return validate_postgroup(group.elements, dot, braid.left, max_size=max_size)
+    return validate_postgroup(group.elements, dot, braid.left)
 
 
 @dataclass(frozen=True)
@@ -506,13 +484,11 @@ def validate_skew_brace(
     elements: Sequence[str],
     dot: Sequence[Sequence[int]],
     star: Sequence[Sequence[int]],
-    *,
-    max_size: int | None = DEFAULT_MAX_SIZE,
 ) -> SkewBrace:
     """Both tables must be groups with one unit, and the law
     g * (h . k) = (g * h) . g^{.-1} . (g * k) must hold on all triples."""
-    dot_group = validate_group(elements, dot, max_size=max_size, what="dot product")
-    star_group = validate_group(elements, star, max_size=max_size, what="star product")
+    dot_group = validate_group(elements, dot, what="dot product")
+    star_group = validate_group(elements, star, what="star product")
     names = dot_group.elements
     n = len(names)
     if dot_group.unit != star_group.unit:
@@ -536,28 +512,20 @@ def validate_skew_brace(
     return SkewBrace(names, dot_group.table, star_group.table, dot_group.unit)
 
 
-def to_skew_brace(
-    pg: PostGroupTable, *, max_size: int | None = DEFAULT_MAX_SIZE
-) -> SkewBrace:
+def to_skew_brace(pg: PostGroupTable) -> SkewBrace:
     """Forget the action, keep the two products."""
-    return validate_skew_brace(
-        pg.elements, pg.dot, gl_star_table(pg), max_size=max_size
-    )
+    return validate_skew_brace(pg.elements, pg.dot, gl_star_table(pg))
 
 
-def skew_brace_to_postgroup(
-    brace: SkewBrace, *, max_size: int | None = DEFAULT_MAX_SIZE
-) -> PostGroupTable:
+def skew_brace_to_postgroup(brace: SkewBrace) -> PostGroupTable:
     """Recover the action as g |> h := g^{.-1} . (g * h)."""
-    dot_group = validate_group(
-        brace.elements, brace.dot, max_size=max_size, what="dot product"
-    )
+    dot_group = validate_group(brace.elements, brace.dot, what="dot product")
     n = len(brace)
     triangle = tuple(
         tuple(brace.dot[dot_group.inv[g]][brace.star[g][h]] for h in range(n))
         for g in range(n)
     )
-    return validate_postgroup(brace.elements, brace.dot, triangle, max_size=max_size)
+    return validate_postgroup(brace.elements, brace.dot, triangle)
 
 
 def trivial_postgroup(group: GroupTable) -> PostGroupTable:
@@ -583,6 +551,7 @@ def conjugation_postgroup(group: GroupTable) -> PostGroupTable:
 
 def cyclic_group(n: int) -> GroupTable:
     """Z/n with elements named 0 .. n-1."""
+    check_size(n, "cyclic group")
     elements = tuple(str(i) for i in range(n))
     table = [[(i + j) % n for j in range(n)] for i in range(n)]
     return validate_group(elements, table)
@@ -608,6 +577,7 @@ def _cycle_name(perm: tuple[int, ...]) -> str:
 
 def symmetric_group(n: int) -> GroupTable:
     """S_n with cycle-notation names; products compose right to left."""
+    check_size(factorial(n), "symmetric group")
     perms = list(permutations(range(n)))
     index = {p: i for i, p in enumerate(perms)}
     elements = tuple(_cycle_name(p) for p in perms)
@@ -625,25 +595,19 @@ def skew_brace_to_json(brace: SkewBrace) -> dict:
     return tables_to_json(brace.elements, dot=brace.dot, star=brace.star)
 
 
-def load_postgroup(
-    path: str | Path, *, max_size: int | None = DEFAULT_MAX_SIZE
-) -> PostGroupTable:
+def load_postgroup(path: str | Path) -> PostGroupTable:
     elements, (dot, triangle) = load_tables(path, ("dot", "triangle"))
-    return validate_postgroup(elements, dot, triangle, max_size=max_size)
+    return validate_postgroup(elements, dot, triangle)
 
 
-def load_skew_brace(
-    path: str | Path, *, max_size: int | None = DEFAULT_MAX_SIZE
-) -> SkewBrace:
+def load_skew_brace(path: str | Path) -> SkewBrace:
     elements, (dot, star) = load_tables(path, ("dot", "star"))
-    return validate_skew_brace(elements, dot, star, max_size=max_size)
+    return validate_skew_brace(elements, dot, star)
 
 
-def load_group(
-    path: str | Path, *, max_size: int | None = DEFAULT_MAX_SIZE
-) -> GroupTable:
+def load_group(path: str | Path) -> GroupTable:
     elements, (dot,) = load_tables(path, ("dot",))
-    return validate_group(elements, dot, max_size=max_size)
+    return validate_group(elements, dot)
 
 
 def save_postgroup(pg: PostGroupTable, path: str | Path | None) -> str:

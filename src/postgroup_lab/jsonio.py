@@ -53,15 +53,15 @@ def require_keys(obj: dict, required: tuple[str, ...], context: str) -> None:
 
 
 def name_list(value: object, context: str) -> tuple[str, ...]:
-    """Validate a JSON array of distinct nonempty strings."""
-    if not isinstance(value, list) or not all(
+    """The one name check: a nonempty list or tuple of distinct nonempty strings."""
+    if not isinstance(value, (list, tuple)) or not all(
         isinstance(x, str) and x for x in value
     ):
-        raise SchemaError(f"{context}: expected an array of nonempty strings")
+        raise ShapeError(f"{context}: expected an array of nonempty strings")
     if len(set(value)) != len(value):
-        raise SchemaError(f"{context}: names must be distinct")
+        raise ShapeError(f"{context}: names must be distinct")
     if not value:
-        raise SchemaError(f"{context}: need at least one name")
+        raise ShapeError(f"{context}: need at least one name")
     return tuple(value)
 
 

@@ -140,14 +140,12 @@ def exp_dot_series(x: MagmaTree, order: int) -> TruncatedSeries:
     return TruncatedSeries(tuple(polys))
 
 
-def exp_star_series(z: TruncatedSeries, order: int | None = None) -> TruncatedSeries:
+def exp_star_series(z: TruncatedSeries) -> TruncatedSeries:
     """exp of a zero-constant series for the twisted product."""
-    if order is None:
-        order = z.order
+    order = z.order
     _check_order(order)
     if not z.coeffs[0].is_zero():
         raise ShapeError("twisted exp needs a vanishing constant term")
-    z = TruncatedSeries(tuple(z.coeff(k) for k in range(order + 1)))
     total = TruncatedSeries.unit(order)
     power = TruncatedSeries.unit(order)
     factorial = 1

@@ -23,6 +23,7 @@ from postgroup_lab.errors import (
     ShapeError,
     SizeCapError,
 )
+from postgroup_lab import action_postgroup
 from postgroup_lab.action_postgroup import (
     GaugeMap,
     RightAction,
@@ -79,6 +80,10 @@ class TestActionValidation:
             validate_action(Z2, ("p", "p"), ((0, 0), (1, 1)))
         with pytest.raises(ShapeError):
             validate_action(Z2, (), ())
+
+    def test_point_names_are_nonempty_strings(self):
+        with pytest.raises(ShapeError, match="nonempty strings"):
+            validate_action(Z2, ("p", ""), ((0, 0), (1, 1)))
 
 
 class TestGaugeOperations:
@@ -165,18 +170,42 @@ class TestGaugePostGroup:
             tuple(tuple([m] * 3) for m in range(8)),
         )
         with pytest.raises(SizeCapError):
-            build_gauge_postgroup(three, cap=100)
+            build_gauge_postgroup(three)
 
     def test_validation_cap_binds_on_big_builds(self):
-        # Z/3 fixing 4 points gives 81 > 64 maps: refused by default,
-        # validated in full once the cap is lifted
+        # Z/3 fixing 4 points gives 81 > 64 maps and is refused; Z/2
+        # fixing 6 points gives 64 maps, the largest build, validated in
+        # full
         z3 = cyclic_group(3)
         fix4 = validate_action(z3, ("a", "b", "c", "d"),
                                tuple(tuple([m] * 3) for m in range(4)))
         with pytest.raises(SizeCapError):
             build_gauge_postgroup(fix4)
-        pg = build_gauge_postgroup(fix4, max_size=None)
-        assert len(pg) == 81
+        fix6 = validate_action(Z2, tuple("abcdef"), tuple((m, m) for m in range(6)))
+        pg = build_gauge_postgroup(fix6)
+        assert len(pg) == 64
+        assert pg.triangle == tuple(tuple(range(64)) for _ in range(64))
+
+    def test_map_count_is_checked_before_any_map_is_built(self, monkeypatch):
+        def unreachable(f, g):
+            raise AssertionError("gauge_dot ran before the size check")
+
+        monkeypatch.setattr(action_postgroup, "gauge_dot", unreachable)
+        fix4 = validate_action(cyclic_group(3), ("a", "b", "c", "d"),
+                               tuple(tuple([m] * 3) for m in range(4)))
+        with pytest.raises(SizeCapError, match="on 81 elements"):
+            build_gauge_postgroup(fix4)
+
+    def test_astronomical_map_count_is_refused_with_a_message(self, monkeypatch):
+        # 2^20000 has more decimal digits than int-to-str conversion allows
+        def unreachable(*args, **kwargs):
+            raise AssertionError("maps were enumerated before the size check")
+
+        monkeypatch.setattr(action_postgroup, "product", unreachable)
+        points = tuple(f"p{m}" for m in range(20_000))
+        fixing = validate_action(Z2, points, tuple((m, m) for m in range(20_000)))
+        with pytest.raises(SizeCapError, match="more than 2\\^64 elements"):
+            build_gauge_postgroup(fixing)
 
 
 def _element_order(group, a):

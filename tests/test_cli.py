@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from postgroup_lab import laws
+from postgroup_lab.action_postgroup import action_to_json, validate_action
 from postgroup_lab.cli import _resolve_seed, main
 from postgroup_lab.finite_postgroup import (
     cyclic_group,
@@ -19,6 +20,7 @@ from postgroup_lab.finite_postgroup import (
     to_skew_brace,
     trivial_postgroup,
 )
+from postgroup_lab.jsonio import dump_json
 from postgroup_lab.magma import cyclic_shift_magma, save_magma, trivial_magma
 
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -164,6 +166,19 @@ class TestTableVerbs:
         path.write_text(json.dumps(obj))
         assert main(["from-action", str(path)]) == 2
         assert "unknown element '2'" in capsys.readouterr().err
+
+    def test_from_action_refuses_128_maps_before_building(self, tmp_path, capsys):
+        points = tuple(f"p{m}" for m in range(7))
+        fixing = validate_action(cyclic_group(2), points, tuple((m, m) for m in range(7)))
+        path = tmp_path / "z2-fix7.json"
+        dump_json(action_to_json(fixing), path)
+        assert main(["from-action", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: gauge post-group on 128 elements exceeds the exhaustive-check "
+            "cap of 64\n"
+        )
 
 
 class TestTensorVerbs:

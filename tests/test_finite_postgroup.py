@@ -9,6 +9,8 @@ at (2, 1, 1).
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from postgroup_lab.errors import (
@@ -16,9 +18,11 @@ from postgroup_lab.errors import (
     BraidedGroupError,
     GroupAxiomError,
     PostGroupLawError,
+    ShapeError,
     SizeCapError,
     SkewBraceLawError,
 )
+from postgroup_lab import finite_postgroup
 from postgroup_lab.finite_postgroup import (
     BraidMap,
     braiding,
@@ -89,6 +93,27 @@ class TestGroupValidation:
     def test_size_cap(self):
         with pytest.raises(SizeCapError):
             cyclic_group(65)
+
+    @pytest.mark.parametrize("build, n, patched", [
+        (cyclic_group, 65, "validate_group"),
+        (cyclic_group, 2000, "validate_group"),
+        (symmetric_group, 6, "compose_perm"),
+        (symmetric_group, 7, "compose_perm"),
+    ])
+    def test_size_cap_comes_before_any_table(self, monkeypatch, build, n, patched):
+        def unreachable(*args, **kwargs):
+            raise AssertionError(f"{patched} ran before the size check")
+
+        monkeypatch.setattr(finite_postgroup, patched, unreachable)
+        with pytest.raises(SizeCapError, match="cap of 64$"):
+            build(n)
+
+    @pytest.mark.parametrize("names", [("a", "a"), ("a", ""), ("a", 1)])
+    def test_names_are_distinct_nonempty_strings(self, names):
+        with pytest.raises(ShapeError):
+            validate_group(names, [[0, 1], [1, 0]])
+        with pytest.raises(ShapeError):
+            validate_postgroup(names, [[0, 1], [1, 0]], [[0, 1], [0, 1]])
 
 
 class TestPostGroupValidation:
@@ -279,6 +304,23 @@ class TestJson:
         path = tmp_path / "g.json"
         save_group(S3, path)
         assert load_group(path) == S3
+
+    def test_every_validated_table_loads_back(self, tmp_path):
+        # the validator and the file reader share one name check, so a
+        # duplicate name is refused before a table is saved, and what is
+        # saved loads back
+        path = tmp_path / "pg.json"
+        with pytest.raises(ShapeError, match="distinct"):
+            save_postgroup(
+                validate_postgroup(("a", "a"), Z2.table, [[0, 1], [0, 1]]), path
+            )
+        rows = [["a", "a"], ["a", "a"]]
+        path.write_text(json.dumps({"elements": ["a", "a"], "dot": rows, "triangle": rows}))
+        with pytest.raises(ShapeError, match="distinct"):
+            load_postgroup(path)
+        pg = validate_postgroup(("a", "b"), Z2.table, [[0, 1], [0, 1]])
+        save_postgroup(pg, path)
+        assert load_postgroup(path) == pg
 
     def test_unknown_entry_rejected(self, tmp_path):
         path = tmp_path / "g.json"

@@ -130,8 +130,8 @@ class TestExpStarAndLog:
         assert got.coeffs == TruncatedSeries.unit(3).coeffs
 
     def test_resizing_pads_with_zeros(self):
-        z = tseries(TensorPoly.zero(), XP)
-        extended = exp_star_series(z, order=3)
+        z = tseries(TensorPoly.zero(), XP, TensorPoly.zero(), TensorPoly.zero())
+        extended = exp_star_series(z)
         assert extended.order == 3
         assert extended.coeff(1) == XP
 
