@@ -177,7 +177,8 @@ def load_action(path: str | Path) -> RightAction:
     mapping = obj["action"]
     if not isinstance(mapping, dict):
         raise ShapeError(f"{path}: action must be an object")
-    unknown = [p for p in mapping if p not in points]
+    point_set = set(points)
+    unknown = [p for p in mapping if p not in point_set]
     if unknown:
         raise ShapeError(f"{path}: action mentions unknown point(s) {unknown}")
     missing = [p for p in points if p not in mapping]

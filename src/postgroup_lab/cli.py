@@ -3,7 +3,8 @@
 One verb per task, batch style: read JSON tables or word arguments,
 print the result or a verification summary.  Exit codes: 0 when the
 requested computation or check succeeds, 1 when a mathematical law
-fails (the witness is printed), 2 when the input cannot be parsed.
+fails (the witness is printed), 2 when the input cannot be parsed or
+an output file cannot be written.
 """
 
 from __future__ import annotations
@@ -59,12 +60,6 @@ def _resolve_seed(args: argparse.Namespace) -> int:
         raise SchemaError(f"POSTGROUP_LAB_SEED must be an integer, got {env!r}")
 
 
-def _emit_table(text: str, out: str | None) -> None:
-    """Print the serialized table, or stay quiet when writing a file."""
-    if out is None:
-        sys.stdout.write(text)
-
-
 def cmd_validate_magma(args: argparse.Namespace) -> int:
     magma = load_magma(args.file)
     print("diagonal left-regular: OK")
@@ -73,37 +68,22 @@ def cmd_validate_magma(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_act(args: argparse.Namespace) -> int:
-    magma = load_magma(args.magma)
-    u = parse_over(magma, args.words[0])
-    v = parse_over(magma, args.words[1])
-    print(word_str(act(magma, u, v)))
-    return 0
+def _word_verb(op):
+    """Handler that loads --magma, parses the words over it and prints op's word."""
+    def handler(args: argparse.Namespace) -> int:
+        magma = load_magma(args.magma)
+        print(word_str(op(magma, *(parse_over(magma, w) for w in args.words))))
+        return 0
+    return handler
 
 
-def cmd_star(args: argparse.Namespace) -> int:
-    magma = load_magma(args.magma)
-    u = parse_over(magma, args.words[0])
-    v = parse_over(magma, args.words[1])
-    print(word_str(gl_product(magma, u, v)))
-    return 0
-
-
-def cmd_star_inv(args: argparse.Namespace) -> int:
-    magma = load_magma(args.magma)
-    print(word_str(gl_inverse(magma, parse_over(magma, args.word))))
-    return 0
-
-
-def cmd_jmap(args: argparse.Namespace) -> int:
-    magma = load_magma(args.magma)
-    print(word_str(jmap(magma, parse_over(magma, args.word))))
-    return 0
-
-
-def cmd_kmap(args: argparse.Namespace) -> int:
-    magma = load_magma(args.magma)
-    print(word_str(kmap(magma, parse_over(magma, args.word))))
+def _print_checks(checks) -> int:
+    """Print each labelled check's verdict; 1 at the first failure, else 0."""
+    for label, result in checks:
+        if not result.ok:
+            print(f"{label}: FAIL at {result.witness}")
+            return 1
+        print(f"{label}: OK")
     return 0
 
 
@@ -111,22 +91,18 @@ def cmd_check_postgroup(args: argparse.Namespace) -> int:
     pg = load_postgroup(args.file)
     print("post-group laws: OK")
     braid = braiding(pg)
-    for label, result in (
+    if _print_checks((
         ("braid equation", check_braid_equation(braid)),
         ("Yang-Baxter", check_ybe(braid)),
-    ):
-        if not result.ok:
-            print(f"{label}: FAIL at {result.witness}")
-            return 1
-        print(f"{label}: OK")
+    )):
+        return 1
     to_skew_brace(pg)
     print("skew brace: OK")
     return 0
 
 
 def cmd_braiding(args: argparse.Namespace) -> int:
-    pg = load_postgroup(args.file)
-    braid = braiding(pg)
+    braid = braiding(load_postgroup(args.file))
     names = braid.elements
     for g, name_g in enumerate(names):
         for h, name_h in enumerate(names):
@@ -139,48 +115,17 @@ def cmd_braiding(args: argparse.Namespace) -> int:
 
 def cmd_ybe(args: argparse.Namespace) -> int:
     braid = braiding(load_postgroup(args.file))
-    result = check_ybe(braid)
-    if not result.ok:
-        print(f"Yang-Baxter: FAIL at {result.witness}")
-        return 1
-    print("Yang-Baxter: OK")
-    return 0
+    return _print_checks((("Yang-Baxter", check_ybe(braid)),))
 
 
-def cmd_to_brace(args: argparse.Namespace) -> int:
-    brace = to_skew_brace(load_postgroup(args.file))
-    _emit_table(save_skew_brace(brace, args.out), args.out)
-    return 0
-
-
-def cmd_from_brace(args: argparse.Namespace) -> int:
-    pg = skew_brace_to_postgroup(load_skew_brace(args.file))
-    _emit_table(save_postgroup(pg, args.out), args.out)
-    return 0
-
-
-def cmd_opposite(args: argparse.Namespace) -> int:
-    pg = opposite(load_postgroup(args.file))
-    _emit_table(save_postgroup(pg, args.out), args.out)
-    return 0
-
-
-def cmd_make_trivial(args: argparse.Namespace) -> int:
-    pg = trivial_postgroup(load_group(args.group))
-    _emit_table(save_postgroup(pg, args.out), args.out)
-    return 0
-
-
-def cmd_make_conjugation(args: argparse.Namespace) -> int:
-    pg = conjugation_postgroup(load_group(args.group))
-    _emit_table(save_postgroup(pg, args.out), args.out)
-    return 0
-
-
-def cmd_from_action(args: argparse.Namespace) -> int:
-    pg = build_gauge_postgroup(load_action(args.file))
-    _emit_table(save_postgroup(pg, args.out), args.out)
-    return 0
+def _table_verb(load, build, save):
+    """Handler that loads the file, builds a table and writes it to --out or stdout."""
+    def handler(args: argparse.Namespace) -> int:
+        text = save(build(load(args.file)), args.out)
+        if args.out is None:
+            sys.stdout.write(text)
+        return 0
+    return handler
 
 
 def cmd_kmap_tensor(args: argparse.Namespace) -> int:
@@ -258,22 +203,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--out", help="rewrite the validated table")
 
-    for name, handler, help in (
-        ("act", cmd_act, "apply a word to a word"),
-        ("star", cmd_star, "second group product of two words"),
+    for name, op, arity, help in (
+        ("act", act, 2, "apply a word to a word"),
+        ("star", gl_product, 2, "second group product of two words"),
+        ("star-inv", gl_inverse, 1, "inverse for the second group product"),
+        ("jmap", jmap, 1, "isomorphism onto the second group"),
+        ("kmap", kmap, 1, "inverse of jmap"),
     ):
-        p = verb(name, handler, help)
+        p = verb(name, _word_verb(op), help)
         p.add_argument("--magma", required=True)
-        p.add_argument("words", nargs=2, metavar="word")
-
-    for name, handler, help in (
-        ("star-inv", cmd_star_inv, "inverse for the second group product"),
-        ("jmap", cmd_jmap, "isomorphism onto the second group"),
-        ("kmap", cmd_kmap, "inverse of jmap"),
-    ):
-        p = verb(name, handler, help)
-        p.add_argument("--magma", required=True)
-        p.add_argument("word")
+        p.add_argument("words", nargs=arity, metavar="word")
 
     p = verb("check-postgroup", cmd_check_postgroup, "full law suite for a table")
     p.add_argument("file")
@@ -285,26 +224,26 @@ def _build_parser() -> argparse.ArgumentParser:
     p = verb("ybe", cmd_ybe, "check the Yang-Baxter equation")
     p.add_argument("file")
 
-    for name, handler, help in (
-        ("to-brace", cmd_to_brace, "post-group file to skew brace file"),
-        ("from-brace", cmd_from_brace, "skew brace file to post-group file"),
-        ("opposite", cmd_opposite, "opposite post-group of a table"),
+    for name, source, load, build, save, help in (
+        ("to-brace", "file", load_postgroup, to_skew_brace, save_skew_brace,
+         "post-group file to skew brace file"),
+        ("from-brace", "file", load_skew_brace, skew_brace_to_postgroup,
+         save_postgroup, "skew brace file to post-group file"),
+        ("opposite", "file", load_postgroup, opposite, save_postgroup,
+         "opposite post-group of a table"),
+        ("make-trivial", "--group", load_group, trivial_postgroup, save_postgroup,
+         "trivial post-group on a group"),
+        ("make-conjugation", "--group", load_group, conjugation_postgroup,
+         save_postgroup, "conjugation post-group"),
+        ("from-action", "file", load_action, build_gauge_postgroup, save_postgroup,
+         "gauge post-group of a right action"),
     ):
-        p = verb(name, handler, help)
-        p.add_argument("file")
+        p = verb(name, _table_verb(load, build, save), help)
+        if source == "file":
+            p.add_argument("file")
+        else:
+            p.add_argument("--group", dest="file", metavar="GROUP", required=True)
         p.add_argument("--out", help="write here instead of stdout")
-
-    for name, handler, help in (
-        ("make-trivial", cmd_make_trivial, "trivial post-group on a group"),
-        ("make-conjugation", cmd_make_conjugation, "conjugation post-group"),
-    ):
-        p = verb(name, handler, help)
-        p.add_argument("--group", required=True)
-        p.add_argument("--out", help="write here instead of stdout")
-
-    p = verb("from-action", cmd_from_action, "gauge post-group of a right action")
-    p.add_argument("file")
-    p.add_argument("--out", help="write here instead of stdout")
 
     p = verb("kmap-tensor", cmd_kmap_tensor, "twist map on a homogeneous basis")
     p.add_argument("--generators", type=_positive, required=True)

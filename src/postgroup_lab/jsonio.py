@@ -2,7 +2,8 @@
 
 Every format rejects unknown and duplicate keys so that typos fail
 loudly; a file that is not JSON text (bad bytes or syntax, nesting too
-deep to parse) is a SchemaError.  Magma, group, post-group, skew brace
+deep to parse), or a path that cannot be read or written, is a
+SchemaError.  Magma, group, post-group, skew brace
 and braiding files share one shape, {"elements": [names], "<table>":
 [[names]], ...}, with row i of each table belonging to elements[i]:
 load_tables and tables_to_json read and write it, and check_rows is
@@ -127,5 +128,8 @@ def check_rows(
 def dump_json(obj: dict, path: str | Path | None) -> str:
     text = json.dumps(obj, indent=2, ensure_ascii=False) + "\n"
     if path is not None:
-        Path(path).write_text(text, encoding="utf-8")
+        try:
+            Path(path).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise SchemaError(f"cannot write {path}: {exc}") from exc
     return text

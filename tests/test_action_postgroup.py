@@ -233,6 +233,14 @@ class TestJson:
         with pytest.raises(ShapeError, match="missing point"):
             load_action(path)
 
+    def test_unknown_point_rejected(self, tmp_path):
+        obj = action_to_json(SWAP)
+        obj["action"]["r"] = obj["action"]["p"]
+        path = tmp_path / "action.json"
+        dump_json(obj, path)
+        with pytest.raises(ShapeError, match=r"unknown point\(s\) \['r'\]"):
+            load_action(path)
+
     def test_unknown_group_element_rejected(self, tmp_path):
         obj = action_to_json(SWAP)
         obj["action"]["p"]["weird"] = "p"

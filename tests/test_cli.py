@@ -302,6 +302,37 @@ class TestSelftestAndPlumbing:
         assert main(["selftest"]) == 2
         assert "POSTGROUP_LAB_SEED" in capsys.readouterr().err
 
+    # SHA-256 of the --help text of each verb at 80 columns (Python 3.11
+    # argparse), while every verb still had its own handler function
+    @pytest.mark.parametrize("verb, digest", [
+        ("--help", "e1157862e2986cf25727818e74351368acfa5b09ca0b40925e0f8ccaa4e8be41"),
+        ("validate-magma", "6f5b1e6a730c79c3ea6ab507d9a59190ca0971d8283b11a2dd663a42ec950106"),
+        ("act", "90d020c5b4d6603897f4c1db4a6cc997e6d1dea430c0fedba18d9a0485168479"),
+        ("star", "6b56fcac59766e308948656e6437a1d7aed0ec5202375b7da8eea967b08f8e3c"),
+        ("star-inv", "39c584164a6799392d441818360df1fd45798cf9eb09435fee1b8e378560784b"),
+        ("jmap", "50b8f86cb82c88cd16e90bf3ce10d915292669ab85aa1a7e0deecabc2635f6c9"),
+        ("kmap", "b4e9cd5f104791ad858ccfdeda55255e83388c9beb431978de45f5ab38cd10c9"),
+        ("check-postgroup", "51882e913b2420edfb637cad6199107f1bc7f831b8092dbb9ece18d4a6afea65"),
+        ("braiding", "c9a725beeb94f881feb1944faaf411c7a4b4bd62030c3f689cc1a587777667d2"),
+        ("ybe", "3676482a32cbcc56e54dde9c6846482306a4a0f5c5623ad88c20670b9f0f2ea3"),
+        ("to-brace", "f4a3910193973a282b0c409f8df8ac4a4a5461fdfb1a0286238300bdc2f6c87b"),
+        ("from-brace", "807178481435909e532e8c79d43e9c4f814b970fdb66c0eb565a43ce1cb8a622"),
+        ("opposite", "da5d006fad6c85c1def7bd12760943818891607ce2fb7b028fe86168c18351a4"),
+        ("make-trivial", "a3b39923c3de04d33404ff88e595d799ea12090c78b0ae0639efd425164145c2"),
+        ("make-conjugation", "ba94139b58a7bce0a93afbc9a612f59034b87cce94abd06fea7a8f2a9232bea9"),
+        ("from-action", "cac99af282681065048e3ebf5e533888119de7177f0a8948a8b28aeb0a2a9273"),
+        ("kmap-tensor", "8b0495f7d7e03138a5a3094a26817ba93c33f6dfbaaf741561fd978dc0757fad"),
+        ("check-posthopf", "0839dd508d74409c2f9b6c4386be349219ac8f0643ee558a697e1e7d14b59b63"),
+        ("magnus", "92be5f8e7b38587ea295717417baa592d85eefb559894e2123cc9f30d48dfd62"),
+        ("selftest", "02f6b2425cdef3e5384dd48eef8a33f44c3053bc07328941d5166bf4e001787e"),
+    ])
+    def test_help_text_is_pinned(self, monkeypatch, capsys, verb, digest):
+        monkeypatch.setenv("COLUMNS", "80")
+        argv = [verb] if verb == "--help" else [verb, "--help"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
 
 class TestSampleCorpus:
     def test_samples_validate_through_the_cli(self, capsys):
@@ -390,4 +421,27 @@ class TestUnreadableTableFiles:
         assert captured.out == ""
         refusals = ("is not valid JSON: ", "is nested too deeply")
         assert captured.err.startswith(tuple(f"error: {path} {r}" for r in refusals))
+        assert len(captured.err.splitlines()) == 1
+
+
+OUT_VERBS = (
+    "validate-magma", "braiding", "to-brace", "from-brace", "opposite",
+    "make-trivial", "make-conjugation", "from-action",
+)
+
+
+class TestUnwritableOut:
+    @pytest.mark.parametrize("where", ["missing-directory", "a-directory"])
+    @pytest.mark.parametrize("verb", OUT_VERBS)
+    def test_refused_as_bad_input(self, verb, where, valid_tables, tmp_path, capsys):
+        kind, argv = TABLE_VERBS[verb]
+        path = tmp_path / "table.json"
+        path.write_text(valid_tables[kind])
+        out = tmp_path / "missing" / "x.json" if where == "missing-directory" else tmp_path
+        assert main([*argv(str(path)), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        # validate-magma and braiding print their report before they write
+        if verb not in ("validate-magma", "braiding"):
+            assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot write {out}: ")
         assert len(captured.err.splitlines()) == 1
