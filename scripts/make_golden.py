@@ -2,7 +2,7 @@
 
 Run from anywhere:  python scripts/make_golden.py
 
-Each case runs cli.main in process, inside a scratch directory that
+Each case runs cli.main in process, inside a temporary directory that
 holds a copy of data/ and the extra inputs below, so every path in an
 argv or a message is relative and the same on every machine.  For each
 case the file stores the argv, the exit code and the SHA-256 of stdout,
@@ -47,14 +47,9 @@ def _z2_action(n_points: int, swap: bool = False) -> dict:
     }
 
 
-def _edited(name: str, edit) -> dict:
-    obj = json.loads((DATA / name).read_text())
-    edit(obj)
-    return obj
-
-
 def _inputs() -> dict[str, object]:
     """Input files beyond data/, written as plain JSON without the library."""
+    z3 = json.loads((DATA / "z3-trivial.json").read_text())
     s3 = json.loads((DATA / "s3-conj.json").read_text())
     klein = [[str(i ^ j) for j in range(4)] for i in range(4)]
     return {
@@ -66,14 +61,12 @@ def _inputs() -> dict[str, object]:
         "z2-swap-action.json": _z2_action(2, swap=True),
         "z2-fix6-action.json": _z2_action(6),
         "z2-fix7-action.json": _z2_action(7),
-        "z3-bad-triangle.json": _edited(
-            "z3-trivial.json", lambda o: o["triangle"].__setitem__(0, ["1", "0", "2"])
-        ),
-        "z3-bad-dot.json": _edited(
-            "z3-trivial.json", lambda o: o["dot"].__setitem__(1, ["1", "0", "2"])
-        ),
-        "s3-short-row.json": _edited("s3-conj.json", lambda o: o["triangle"][2].pop()),
-        "s3-unknown-key.json": _edited("s3-conj.json", lambda o: o.update(extra=[])),
+        "z3-bad-triangle.json": z3 | {"triangle": [["1", "0", "2"], *z3["triangle"][1:]]},
+        "z3-bad-dot.json": z3 | {"dot": [z3["dot"][0], ["1", "0", "2"], z3["dot"][2]]},
+        "s3-short-row.json": s3 | {
+            "triangle": [row[:-1] if i == 2 else row for i, row in enumerate(s3["triangle"])]
+        },
+        "s3-unknown-key.json": s3 | {"extra": []},
         "not-left-regular.json": {
             "elements": ["x0", "x1"], "triangle": [["x0", "x1"], ["x1", "x1"]],
         },
@@ -186,7 +179,7 @@ def _sha(data: bytes) -> str:
 
 @contextlib.contextmanager
 def _workdir():
-    """A scratch directory with data/ and inputs/, made the working directory."""
+    """A temporary directory with data/ and inputs/, made the working directory."""
     old_cwd, old_columns = os.getcwd(), os.environ.get("COLUMNS")
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)

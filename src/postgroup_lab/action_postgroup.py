@@ -45,9 +45,6 @@ class RightAction:
     points: tuple[str, ...]
     table: tuple[tuple[int, ...], ...]
 
-    def move(self, m: int, g: int) -> int:
-        return self.table[m][g]
-
 
 def validate_action(
     group: GroupTable, points: Sequence[str], table: Sequence[Sequence[int]]
@@ -112,11 +109,6 @@ def gauge_act(f: GaugeMap, g: GaugeMap) -> GaugeMap:
             g.values[action.table[m][f.values[m]]] for m in range(len(f.values))
         ),
     )
-
-
-def gauge_gl(f: GaugeMap, g: GaugeMap) -> GaugeMap:
-    """(f * g)(m) = f(m) . g(m . f(m)), the derived group product."""
-    return gauge_dot(f, gauge_act(f, g))
 
 
 def _same_action(f: GaugeMap, g: GaugeMap) -> None:

@@ -4,7 +4,8 @@ One verb per task, batch style: read JSON tables or word arguments,
 print the result or a verification summary.  Exit codes: 0 when the
 requested computation or check succeeds, 1 when a mathematical law
 fails (the witness is printed), 2 when the input cannot be parsed or
-an output file cannot be written.
+an output file cannot be written, 141 when the reader closes stdout
+before the verb has printed everything.
 """
 
 from __future__ import annotations
@@ -265,6 +266,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    try:
+        code = _run(argv)
+        sys.stdout.flush()  # a closed stdout fails here, not in the flush at exit
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout: point it at devnull so that the flush
+        # at exit prints nothing, and exit as a shell reports SIGPIPE
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
+
+
+def _run(argv) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -10,6 +10,11 @@ same elements, the Grossman-Larson group of the structure.
 Every check in this module is exhaustive and reports a witness in
 element names.  Tables of more than TABLE_SIZE_CAP = 64 elements are
 refused by check_size, before any table of that size is built.
+
+The set-theoretic Yang-Baxter equation for R = flip after sigma is the
+braid relation of sigma read on reversed triples, so check_ybe and
+check_braid_equation share one kernel, _braid_failure, and report the
+same first failing triple.
 """
 
 from __future__ import annotations
@@ -57,12 +62,6 @@ class GroupTable:
 
     def __len__(self) -> int:
         return len(self.elements)
-
-    def mul(self, a: int, b: int) -> int:
-        return self.table[a][b]
-
-    def name(self, i: int) -> str:
-        return self.elements[i]
 
 
 def validate_group(
@@ -128,18 +127,6 @@ class PostGroupTable:
 
     def __len__(self) -> int:
         return len(self.elements)
-
-    def name(self, i: int) -> str:
-        return self.elements[i]
-
-    def tri(self, a: int, b: int) -> int:
-        return self.triangle[a][b]
-
-    def star(self, a: int, b: int) -> int:
-        return self.dot[a][self.triangle[a][b]]
-
-    def dot_group(self) -> GroupTable:
-        return GroupTable(self.elements, self.dot, self.unit, self.inv)
 
 
 def validate_postgroup(
@@ -365,12 +352,11 @@ def invert_braiding(braid: BraidMap) -> BraidMap:
     )
 
 
-def check_braid_equation(braid: BraidMap) -> CheckResult:
-    """(sigma x 1)(1 x sigma)(sigma x 1) == (1 x sigma)(sigma x 1)(1 x sigma)
-    on all triples."""
-    names = braid.elements
-    n = len(names)
-    check_size(n, "braid equation check")
+def _braid_failure(braid: BraidMap):
+    """The first triple (g, h, k), in lexicographic order, at which
+    s12 s23 s12 and s23 s12 s23 differ, with both images; None if the
+    braid relation holds on every triple."""
+    n = len(braid)
 
     def s12(t):
         a, b = braid.sigma(t[0], t[1])
@@ -387,51 +373,39 @@ def check_braid_equation(braid: BraidMap) -> CheckResult:
                 lhs = s12(s23(s12(t)))
                 rhs = s23(s12(s23(t)))
                 if lhs != rhs:
-                    return CheckResult(
-                        False,
-                        f"braid equation fails at ({names[g]}, {names[h]}, "
-                        f"{names[k]}): lhs {_triple(names, lhs)} != rhs "
-                        f"{_triple(names, rhs)}",
-                    )
-    return CheckResult(True)
+                    return t, lhs, rhs
+    return None
+
+
+def check_braid_equation(braid: BraidMap) -> CheckResult:
+    """(sigma x 1)(1 x sigma)(sigma x 1) == (1 x sigma)(sigma x 1)(1 x sigma)
+    on all triples."""
+    check_size(len(braid), "braid equation check")
+    failure = _braid_failure(braid)
+    if failure is None:
+        return CheckResult(True)
+    return _triple_failure("braid equation", braid.elements, *failure)
 
 
 def check_ybe(braid: BraidMap) -> CheckResult:
-    """R12 R13 R23 == R23 R13 R12 for R = flip after sigma."""
-    names = braid.elements
-    n = len(names)
-    check_size(n, "Yang-Baxter check")
+    """R12 R13 R23 == R23 R13 R12 for R = flip after sigma.
 
-    def rmap(g, h):
-        a, b = braid.sigma(g, h)
-        return (b, a)
+    Reversing a triple turns R12 R13 R23 into s23 s12 s23 and R23 R13 R12
+    into s12 s23 s12, so the equation fails exactly where the braid
+    relation of sigma does, at the same first triple.
+    """
+    check_size(len(braid), "Yang-Baxter check")
+    failure = _braid_failure(braid)
+    if failure is None:
+        return CheckResult(True)
+    t, lhs, rhs = failure
+    return _triple_failure("Yang-Baxter", braid.elements, t, rhs[::-1], lhs[::-1])
 
-    def r12(t):
-        a, b = rmap(t[0], t[1])
-        return (a, b, t[2])
 
-    def r23(t):
-        a, b = rmap(t[1], t[2])
-        return (t[0], a, b)
-
-    def r13(t):
-        a, b = rmap(t[0], t[2])
-        return (a, t[1], b)
-
-    for g in range(n):
-        for h in range(n):
-            for k in range(n):
-                t = (g, h, k)
-                lhs = r12(r13(r23(t)))
-                rhs = r23(r13(r12(t)))
-                if lhs != rhs:
-                    return CheckResult(
-                        False,
-                        f"Yang-Baxter fails at ({names[g]}, {names[h]}, "
-                        f"{names[k]}): lhs {_triple(names, lhs)} != rhs "
-                        f"{_triple(names, rhs)}",
-                    )
-    return CheckResult(True)
+def _triple_failure(law: str, names: tuple[str, ...], *triples) -> CheckResult:
+    """The failed result of a law at triple t, both sides in element names."""
+    t, lhs, rhs = ("(" + ", ".join(names[i] for i in x) + ")" for x in triples)
+    return CheckResult(False, f"{law} fails at {t}: lhs {lhs} != rhs {rhs}")
 
 
 def check_involutive(braid: BraidMap) -> CheckResult:
@@ -446,10 +420,6 @@ def check_involutive(braid: BraidMap) -> CheckResult:
                     f"sigma^2 moves the pair ({names[g]}, {names[h]})",
                 )
     return CheckResult(True)
-
-
-def _triple(names: tuple[str, ...], t: tuple[int, int, int]) -> str:
-    return "(" + ", ".join(names[i] for i in t) + ")"
 
 
 def postgroup_from_braided(group: GroupTable, braid: BraidMap) -> PostGroupTable:
@@ -616,7 +586,3 @@ def save_postgroup(pg: PostGroupTable, path: str | Path | None) -> str:
 
 def save_skew_brace(brace: SkewBrace, path: str | Path | None) -> str:
     return dump_json(skew_brace_to_json(brace), path)
-
-
-def save_group(group: GroupTable, path: str | Path | None) -> str:
-    return dump_json(tables_to_json(group.elements, dot=group.table), path)

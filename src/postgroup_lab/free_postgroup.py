@@ -86,11 +86,6 @@ def gl_inverse(magma: MagmaTable, u: ReducedWord) -> ReducedWord:
     return inverse_act(magma, u, invert(u))
 
 
-def opposite_act(magma: MagmaTable, u: ReducedWord, v: ReducedWord) -> ReducedWord:
-    """The companion action u . (u |> v) . u^{-1} of the opposite post-group."""
-    return dot(gl_product(magma, u, v), invert(u))
-
-
 def jmap(magma: MagmaTable, u: ReducedWord) -> ReducedWord:
     """Rewrite a dot-word as a *-word in one pass.
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import DiagonalityError, LeftRegularityError
-from .jsonio import check_rows, dump_json, load_tables, rows_from_names, tables_to_json
+from .jsonio import check_rows, dump_json, load_tables, tables_to_json
 from .perms import invert_perm
 from .words import Alphabet, Letter
 
@@ -39,9 +39,6 @@ class MagmaTable:
 
     def __len__(self) -> int:
         return len(self.alphabet)
-
-    def op(self, a: int, b: int) -> int:
-        return self.triangle[a][b]
 
 
 def validate_magma(
@@ -86,18 +83,6 @@ def validate_magma(
     )
 
 
-def psi(magma: MagmaTable, letter: Letter) -> Letter:
-    """The sign-swapping involution pairing m with lam(m) inverse.
-
-    psi(m) = lam(m)^{-1} and psi(m^{-1}) = lam^{-1}(m), which encodes
-    that the formal inverse of the letter m acts like the inverse of
-    the row of lam^{-1}(m).
-    """
-    if letter.sign == 1:
-        return Letter(magma.lam[letter.gen], -1)
-    return Letter(magma.lam_inv[letter.gen], 1)
-
-
 def generator_perm(magma: MagmaTable, letter: Letter) -> tuple[int, ...]:
     """The permutation of the generator set attached to one letter.
 
@@ -115,13 +100,6 @@ def generator_perm_inv(magma: MagmaTable, letter: Letter) -> tuple[int, ...]:
     if letter.sign == 1:
         return magma.row_inv[letter.gen]
     return magma.triangle[magma.lam_inv[letter.gen]]
-
-
-def magma_from_names(
-    elements: Sequence[str], rows: Sequence[Sequence[str]]
-) -> MagmaTable:
-    """Validate a table whose entries are element names."""
-    return validate_magma(elements, rows_from_names(elements, rows, "triangle"))
 
 
 def load_magma(path: str | Path) -> MagmaTable:

@@ -101,18 +101,6 @@ def series_star(left: TruncatedSeries, right: TruncatedSeries) -> TruncatedSerie
     return _convolve(left, right, gl_star)
 
 
-def series_triangle(left: TruncatedSeries, right: TruncatedSeries) -> TruncatedSeries:
-    return _convolve(left, right, triangle)
-
-
-def derivative(series: TruncatedSeries) -> TruncatedSeries:
-    if series.order == 0:
-        return TruncatedSeries.zero(0)
-    return TruncatedSeries(
-        tuple((k + 1) * series.coeffs[k + 1] for k in range(series.order))
-    )
-
-
 def integrate(series: TruncatedSeries) -> TruncatedSeries:
     polys = [TensorPoly.zero()]
     polys += [

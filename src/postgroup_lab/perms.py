@@ -19,13 +19,3 @@ def invert_perm(p: Sequence[int]) -> tuple[int, ...]:
     for i, v in enumerate(p):
         out[v] = i
     return tuple(out)
-
-
-def is_perm(p: Sequence[int]) -> bool:
-    n = len(p)
-    seen = [False] * n
-    for v in p:
-        if not isinstance(v, int) or v < 0 or v >= n or seen[v]:
-            return False
-        seen[v] = True
-    return True

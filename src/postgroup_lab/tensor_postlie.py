@@ -72,10 +72,6 @@ MagmaTree = Union[Leaf, Node]
 TensorWord = tuple  # tuple[MagmaTree, ...]; () is the unit word
 
 
-def magma_product(s: MagmaTree, t: MagmaTree) -> MagmaTree:
-    return Node(s, t)
-
-
 def tree_degree(tree: MagmaTree) -> int:
     if isinstance(tree, Leaf):
         return 1
@@ -129,10 +125,6 @@ class TensorPoly:
     @classmethod
     def unit(cls) -> "TensorPoly":
         return cls({(): _ONE})
-
-    @classmethod
-    def letter(cls, index: int) -> "TensorPoly":
-        return cls({(Leaf(index),): _ONE})
 
     @classmethod
     def from_word(cls, word: TensorWord, coeff=_ONE) -> "TensorPoly":
@@ -208,10 +200,6 @@ def _bilinear(fn, left: TensorPoly, right: TensorPoly) -> TensorPoly:
             for out, c in fn(u, w).terms.items():
                 _add_into(acc, out, ab * c)
     return TensorPoly(acc)
-
-
-def counit(poly: TensorPoly) -> Fraction:
-    return poly.coeff(())
 
 
 def _max_degree(poly: TensorPoly) -> int:
@@ -410,12 +398,6 @@ def _require_primitive(*polys) -> None:
             raise NotPrimitiveError(
                 f"{format_poly(poly)} is not primitive for the unshuffle coproduct"
             )
-
-
-def lie_bracket(left: TensorPoly, right: TensorPoly) -> TensorPoly:
-    """Concatenation commutator of two primitive elements."""
-    _require_primitive(left, right)
-    return concat(left, right) - concat(right, left)
 
 
 def gl_lie_bracket(left: TensorPoly, right: TensorPoly, max_degree=DEGREE_CAP) -> TensorPoly:

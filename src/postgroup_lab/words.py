@@ -96,9 +96,6 @@ class ReducedWord:
     def __len__(self) -> int:
         return len(self.letters)
 
-    def is_unit(self) -> bool:
-        return not self.letters
-
     def __str__(self) -> str:
         return word_str(self)
 
@@ -179,8 +176,3 @@ def dot(u: ReducedWord, v: ReducedWord) -> ReducedWord:
 
 def invert(u: ReducedWord) -> ReducedWord:
     return ReducedWord(u.alphabet, tuple(l.inverse() for l in reversed(u.letters)))
-
-
-def conjugate(u: ReducedWord, v: ReducedWord) -> ReducedWord:
-    """Return u . v . u^{-1}."""
-    return dot(dot(u, v), invert(u))

@@ -5,7 +5,8 @@ jmap and kmap, kept only as oracles for the single-pass library code.
 They rest on nothing but the magma table, the permutation helpers and
 dot, so a fault in the library's running-permutation kernels cannot
 hide in the reference.  gl_product is rebuilt here on top of the
-reference act_perm_raw for the same reason.
+reference act_perm_raw for the same reason, and opposite_act, the
+companion action of the opposite post-group, on top of that.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from collections.abc import Sequence
 
 from postgroup_lab.magma import MagmaTable, generator_perm
 from postgroup_lab.perms import compose_perm, identity_perm, invert_perm
-from postgroup_lab.words import Letter, ReducedWord, dot
+from postgroup_lab.words import Letter, ReducedWord, dot, invert
 
 
 def act_perm_raw(magma: MagmaTable, letters: Sequence[Letter]) -> tuple[int, ...]:
@@ -37,6 +38,11 @@ def gl_product(magma: MagmaTable, u: ReducedWord, v: ReducedWord) -> ReducedWord
         v.alphabet, tuple(Letter(pi[l.gen], l.sign) for l in v.letters)
     )
     return dot(u, moved)
+
+
+def opposite_act(magma: MagmaTable, u: ReducedWord, v: ReducedWord) -> ReducedWord:
+    """The companion action u . (u |> v) . u^{-1} of the opposite post-group."""
+    return dot(gl_product(magma, u, v), invert(u))
 
 
 def jmap(magma: MagmaTable, u: ReducedWord) -> ReducedWord:

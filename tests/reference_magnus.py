@@ -6,14 +6,44 @@ order at a time, rebuilding the whole right side at every order.  The
 library now takes the twisted logarithm of exp^.(tx) instead, so this
 solver is kept only as an oracle.  It carries its own convolution and
 right side, and uses only public library names.
+
+The concatenation bracket and the term-wise derivative of a series are
+kept here too: tests use them as a second path to the twisted bracket
+and to the flow equations, and the library itself needs neither.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
+from postgroup_lab.errors import NotPrimitiveError
 from postgroup_lab.magnus import TruncatedSeries, alpha_series, bernoulli_modified
-from postgroup_lab.tensor_postlie import MagmaTree, TensorPoly, gl_lie_bracket
+from postgroup_lab.tensor_postlie import (
+    MagmaTree,
+    TensorPoly,
+    concat,
+    format_poly,
+    gl_lie_bracket,
+    is_primitive,
+)
+
+
+def lie_bracket(left: TensorPoly, right: TensorPoly) -> TensorPoly:
+    """Concatenation commutator of two primitive elements."""
+    for poly in (left, right):
+        if not is_primitive(poly):
+            raise NotPrimitiveError(
+                f"{format_poly(poly)} is not primitive for the unshuffle coproduct"
+            )
+    return concat(left, right) - concat(right, left)
+
+
+def derivative(series: TruncatedSeries) -> TruncatedSeries:
+    if series.order == 0:
+        return TruncatedSeries.zero(0)
+    return TruncatedSeries(
+        tuple((k + 1) * series.coeffs[k + 1] for k in range(series.order))
+    )
 
 
 def convolve(left: TruncatedSeries, right: TruncatedSeries, product) -> TruncatedSeries:

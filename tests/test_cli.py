@@ -3,6 +3,9 @@
 import argparse
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -13,14 +16,13 @@ from postgroup_lab.cli import _resolve_seed, main
 from postgroup_lab.finite_postgroup import (
     cyclic_group,
     postgroup_to_json,
-    save_group,
     save_postgroup,
     save_skew_brace,
     symmetric_group,
     to_skew_brace,
     trivial_postgroup,
 )
-from postgroup_lab.jsonio import dump_json
+from postgroup_lab.jsonio import dump_json, tables_to_json
 from postgroup_lab.magma import cyclic_shift_magma, save_magma, trivial_magma
 
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -145,7 +147,8 @@ class TestTableVerbs:
 
     def test_make_verbs_agree_on_abelian_groups(self, tmp_path, capsys):
         group = tmp_path / "z4.json"
-        save_group(cyclic_group(4), group)
+        z4 = cyclic_group(4)
+        dump_json(tables_to_json(z4.elements, dot=z4.table), group)
         assert main(["make-trivial", "--group", str(group)]) == 0
         trivial = capsys.readouterr().out
         assert main(["make-conjugation", "--group", str(group)]) == 0
@@ -291,6 +294,30 @@ class TestSelftestAndPlumbing:
         assert main(["--help"]) == 0
         assert "verb" in capsys.readouterr().out
 
+    # kmap-tensor's output (about 160 kB) outgrows the pipe, so the verb is
+    # still printing when the reader goes; validate-magma's one line sits
+    # in the stdout buffer until main flushes it
+    @pytest.mark.parametrize("argv, lines", [
+        (["kmap-tensor", "--generators", "2", "--degree", "5"], 1),
+        (["validate-magma", str(DATA / "shift3.json")], 0),
+    ])
+    def test_closed_stdout_exits_141_quietly(self, argv, lines):
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH")))
+        ))
+        env.pop("PYTHONUNBUFFERED", None)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "postgroup_lab.cli", *argv],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        for _ in range(lines):
+            assert proc.stdout.readline()
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 141
+        assert proc.stderr.read() == b""
+        proc.stderr.close()
+
     def test_env_seed_overrides_flag(self, monkeypatch):
         namespace = argparse.Namespace(seed=3)
         assert _resolve_seed(namespace) == 3
@@ -397,7 +424,8 @@ def valid_tables(tmp_path_factory):
     brace = tmp_path_factory.mktemp("tables") / "brace.json"
     save_skew_brace(to_skew_brace(trivial_postgroup(cyclic_group(3))), brace)
     group = brace.with_name("group.json")
-    save_group(cyclic_group(3), group)
+    z3 = cyclic_group(3)
+    dump_json(tables_to_json(z3.elements, dot=z3.table), group)
     return {
         "magma": (DATA / "shift3.json").read_text(),
         "postgroup": (DATA / "z3-trivial.json").read_text(),

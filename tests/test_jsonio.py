@@ -16,12 +16,11 @@ from postgroup_lab.finite_postgroup import (
     load_group,
     load_postgroup,
     load_skew_brace,
-    save_group,
     save_postgroup,
     save_skew_brace,
     validate_group,
 )
-from postgroup_lab.jsonio import dump_json, load_tables
+from postgroup_lab.jsonio import dump_json, load_tables, tables_to_json
 from postgroup_lab.magma import load_magma, save_magma, validate_magma
 
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -29,7 +28,10 @@ DATA = Path(__file__).resolve().parent.parent / "data"
 # Each file kind, told apart by its top-level keys: its loader and writer.
 CODECS = {
     ("elements", "triangle"): (load_magma, save_magma),
-    ("elements", "dot"): (load_group, save_group),
+    ("elements", "dot"): (
+        load_group,
+        lambda group, path: dump_json(tables_to_json(group.elements, dot=group.table), path),
+    ),
     ("elements", "dot", "triangle"): (load_postgroup, save_postgroup),
     ("elements", "dot", "star"): (load_skew_brace, save_skew_brace),
     ("group", "set", "action"): (

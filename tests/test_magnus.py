@@ -25,7 +25,6 @@ from postgroup_lab.magnus import (
     check_alpha_ode,
     check_magnus_fixed_point,
     check_primitivity_of_log,
-    derivative,
     exp_dot_series,
     exp_star_series,
     flow_matches_twisted_exp,
@@ -34,7 +33,6 @@ from postgroup_lab.magnus import (
     magnus_gl,
     series_concat,
     series_star,
-    series_triangle,
     solve_right_flow,
 )
 from postgroup_lab.tensor_postlie import (
@@ -53,7 +51,7 @@ X = Leaf(0)
 T2 = Node(X, X)
 T3L = Node(T2, X)
 T3R = Node(X, T2)
-XP = TensorPoly.letter(0)
+XP = TensorPoly.from_word((X,))
 
 
 def tseries(*polys):
@@ -81,7 +79,7 @@ class TestSeriesType:
 
     def test_derivative_and_integral_are_inverse(self):
         s = alpha_series(X, 4)
-        assert derivative(integrate(s)).coeffs == s.coeffs
+        assert ref.derivative(integrate(s)).coeffs == s.coeffs
 
     def test_scalar_multiplication(self):
         s = exp_dot_series(X, 3)
@@ -100,7 +98,7 @@ class TestExpDot:
         # shift-and-compare: d/dt exp = exp . x through the truncation
         exp = exp_dot_series(X, 6)
         rhs = series_concat(exp, constant_series(XP, 6))
-        assert derivative(exp).coeffs == rhs.coeffs[:6]
+        assert ref.derivative(exp).coeffs == rhs.coeffs[:6]
 
     def test_coefficients_are_group_like(self):
         exp = exp_dot_series(X, 5)
@@ -292,7 +290,6 @@ class TestSeriesProducts:
         b = alpha_series(X, 2)
         assert series_concat(a, b).order == 2
         assert series_star(a, b).order == 2
-        assert series_triangle(a, b).order == 2
 
     def test_star_convolution_matches_poly_product(self):
         a = exp_dot_series(X, 3)
