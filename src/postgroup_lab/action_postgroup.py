@@ -15,7 +15,6 @@ post-group validator.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
 from itertools import product
 from pathlib import Path
 
@@ -27,6 +26,7 @@ from .finite_postgroup import (
     validate_group,
     validate_postgroup,
 )
+from .interned import Record
 from .jsonio import (
     check_rows,
     load_json_object,
@@ -37,10 +37,10 @@ from .jsonio import (
 )
 
 
-@dataclass(frozen=True)
-class RightAction:
+class RightAction(Record):
     """A validated right action: table[m][g] = m . g."""
 
+    __slots__ = ("group", "points", "table")
     group: GroupTable
     points: tuple[str, ...]
     table: tuple[tuple[int, ...], ...]
@@ -78,16 +78,19 @@ def validate_action(
     return RightAction(group, point_names, rows)
 
 
-@dataclass(frozen=True)
-class GaugeMap:
+class GaugeMap(Record):
     """A map from points to group elements, one gauge transformation."""
 
+    __slots__ = ("action", "values")
     action: RightAction
     values: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if len(self.values) != len(self.action.points):
+    def __init__(self, action: RightAction, values: tuple[int, ...]) -> None:
+        if len(values) != len(action.points):
             raise ShapeError("gauge map must assign one group element per point")
+        set_action, set_values = self._setters
+        set_action(self, action)
+        set_values(self, values)
 
 
 def gauge_dot(f: GaugeMap, g: GaugeMap) -> GaugeMap:

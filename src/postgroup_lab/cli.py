@@ -47,8 +47,9 @@ from .tensor_postlie import (
     word_count,
     words_of_degree,
 )
-from .laws import check_posthopf_laws, magnus_identities
-from .selftest import run_acceptance
+
+# laws and selftest are imported inside check-posthopf, magnus and
+# selftest, so that the other verbs do not load them
 
 
 def _resolve_seed(args: argparse.Namespace) -> int:
@@ -145,6 +146,8 @@ def cmd_kmap_tensor(args: argparse.Namespace) -> int:
 
 
 def cmd_check_posthopf(args: argparse.Namespace) -> int:
+    from .laws import check_posthopf_laws
+
     ok, detail = check_posthopf_laws(args.degree)
     print(f"operator and bracket axioms: {'OK' if ok else 'FAIL'}; {detail}")
     return 0 if ok else 1
@@ -153,6 +156,8 @@ def cmd_check_posthopf(args: argparse.Namespace) -> int:
 def cmd_magnus(args: argparse.Namespace) -> int:
     if args.generators != 1:
         raise SchemaError("the series solver supports exactly one generator")
+    from .laws import magnus_identities
+
     omega, checks = magnus_identities(Leaf(0), args.order)
     for k, coeff in enumerate(omega.coeffs):
         print(f"Omega[{k}] = {format_poly(coeff)}")
@@ -165,6 +170,8 @@ def cmd_magnus(args: argparse.Namespace) -> int:
 
 
 def cmd_selftest(args: argparse.Namespace) -> int:
+    from .selftest import run_acceptance
+
     results = run_acceptance(seed=_resolve_seed(args), level=args.level)
     for result in results:
         verdict = "PASS" if result.ok else "FAIL"

@@ -10,7 +10,7 @@ raising returns a CheckResult, which carries the same kind of witness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from .interned import Record
 
 
 class PostgroupLabError(Exception):
@@ -37,12 +37,17 @@ class SizeCapError(SchemaError):
     """The request exceeds a configured size or degree cap."""
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(Record):
     """Outcome of one law check, with a witness when it fails."""
 
+    __slots__ = ("ok", "witness")
     ok: bool
-    witness: str | None = None
+    witness: str | None
+
+    def __init__(self, ok: bool, witness: str | None = None) -> None:
+        set_ok, set_witness = self._setters
+        set_ok(self, ok)
+        set_witness(self, witness)
 
     def __bool__(self) -> bool:
         return self.ok

@@ -20,7 +20,6 @@ same first failing triple.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
 from itertools import permutations
 from math import factorial
 from pathlib import Path
@@ -34,6 +33,7 @@ from .errors import (
     SizeCapError,
     SkewBraceLawError,
 )
+from .interned import Record
 from .jsonio import check_rows, dump_json, load_tables, name_list, tables_to_json
 from .perms import compose_perm, invert_perm
 
@@ -51,10 +51,10 @@ def check_size(n: int, what: str) -> None:
         )
 
 
-@dataclass(frozen=True)
-class GroupTable:
+class GroupTable(Record):
     """A finite group: multiplication table plus unit and inverses."""
 
+    __slots__ = ("elements", "table", "unit", "inv")
     elements: tuple[str, ...]
     table: tuple[tuple[int, ...], ...]
     unit: int
@@ -115,10 +115,10 @@ def validate_group(
     return GroupTable(names, rows, unit, tuple(inv))
 
 
-@dataclass(frozen=True)
-class PostGroupTable:
+class PostGroupTable(Record):
     """A validated finite post-group: dot group plus triangle action."""
 
+    __slots__ = ("elements", "dot", "triangle", "unit", "inv")
     elements: tuple[str, ...]
     dot: tuple[tuple[int, ...], ...]
     triangle: tuple[tuple[int, ...], ...]
@@ -229,10 +229,10 @@ def is_pregroup(pg: PostGroupTable) -> bool:
     return all(pg.dot[a][b] == pg.dot[b][a] for a in range(n) for b in range(n))
 
 
-@dataclass(frozen=True)
-class BraidMap:
+class BraidMap(Record):
     """A candidate braiding sigma(g, h) = (left[g][h], right[g][h])."""
 
+    __slots__ = ("elements", "left", "right")
     elements: tuple[str, ...]
     left: tuple[tuple[int, ...], ...]
     right: tuple[tuple[int, ...], ...]
@@ -437,10 +437,10 @@ def postgroup_from_braided(group: GroupTable, braid: BraidMap) -> PostGroupTable
     return validate_postgroup(group.elements, dot, braid.left)
 
 
-@dataclass(frozen=True)
-class SkewBrace:
+class SkewBrace(Record):
     """One set with two group structures tied by the brace law."""
 
+    __slots__ = ("elements", "dot", "star", "unit")
     elements: tuple[str, ...]
     dot: tuple[tuple[int, ...], ...]
     star: tuple[tuple[int, ...], ...]

@@ -14,28 +14,28 @@ letter permutation and its inverse are plain table lookups.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import DiagonalityError, LeftRegularityError
+from .interned import Record
 from .jsonio import check_rows, dump_json, load_tables, tables_to_json
 from .perms import invert_perm
 from .words import Alphabet, Letter
 
 
-@dataclass(frozen=True)
-class MagmaTable:
+class MagmaTable(Record):
     """A validated diagonal left-regular magma.
 
     Build through validate_magma or load_magma; the constructor trusts
     its inputs.
     """
 
+    __slots__ = ("alphabet", "triangle", "lam", "lam_inv", "row_inv")
     alphabet: Alphabet
     triangle: tuple[tuple[int, ...], ...]
     lam: tuple[int, ...]
     lam_inv: tuple[int, ...]
-    row_inv: tuple[tuple[int, ...], ...] = field(repr=False)
+    row_inv: tuple[tuple[int, ...], ...]
 
     def __len__(self) -> int:
         return len(self.alphabet)

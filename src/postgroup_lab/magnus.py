@@ -11,12 +11,12 @@ checked against the paper's Bernoulli fixed point.  All exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
 from .errors import CheckResult, ShapeError, SizeCapError
+from .interned import Record
 from .tensor_postlie import (
     DEGREE_CAP,
     MagmaTree,
@@ -31,15 +31,17 @@ from .tensor_postlie import (
 )
 
 
-@dataclass(frozen=True)
-class TruncatedSeries:
+class TruncatedSeries(Record):
     """Polynomial in t with TensorPoly coefficients, exact truncation."""
 
+    __slots__ = ("coeffs",)
     coeffs: tuple  # tuple[TensorPoly, ...], index = power of t
 
-    def __post_init__(self):
-        if not self.coeffs:
+    def __init__(self, coeffs: tuple) -> None:
+        if not coeffs:
             raise ShapeError("a series needs at least the constant coefficient")
+        (set_coeffs,) = self._setters
+        set_coeffs(self, coeffs)
 
     @property
     def order(self) -> int:

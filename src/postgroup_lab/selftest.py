@@ -11,10 +11,10 @@ scales the budgets accordingly.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from time import perf_counter
 
 from .errors import DiagonalityError, ShapeError
+from .interned import Record
 from .words import dot
 from .perms import compose_perm
 from .magma import (
@@ -57,8 +57,8 @@ from .laws import check_posthopf_laws, check_twist_hopf, magnus_identities
 from fractions import Fraction
 
 
-@dataclass(frozen=True)
-class CriterionResult:
+class CriterionResult(Record):
+    __slots__ = ("name", "ok", "detail", "seconds")
     name: str
     ok: bool
     detail: str

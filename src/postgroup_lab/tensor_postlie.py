@@ -26,7 +26,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb
-from typing import Union
 
 from .errors import NotPrimitiveError, SizeCapError
 from .interned import Interned
@@ -67,7 +66,7 @@ class Node(Interned):
         return node
 
 
-MagmaTree = Union[Leaf, Node]
+MagmaTree = Leaf | Node
 
 TensorWord = tuple  # tuple[MagmaTree, ...]; () is the unit word
 

@@ -13,23 +13,22 @@ equality is identity and each letter's hash is computed once.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass, field
 
 from .errors import AlphabetMismatchError, UnknownNameError
-from .interned import Interned
+from .interned import Interned, Record
 
 UNIT_TOKEN = "e"
 
 
-@dataclass(frozen=True)
-class Alphabet:
+class Alphabet(Record):
     """Ordered set of generator names shared by words over one magma."""
 
+    __slots__ = ("names", "_index")
     names: tuple[str, ...]
-    _index: dict[str, int] = field(init=False, repr=False, compare=False)
+    _index: dict[str, int]
 
-    def __post_init__(self) -> None:
-        names = tuple(self.names)
+    def __init__(self, names: tuple[str, ...]) -> None:
+        names = tuple(names)
         if not names:
             raise UnknownNameError("alphabet needs at least one generator")
         for name in names:
@@ -41,8 +40,9 @@ class Alphabet:
                 )
         if len(set(names)) != len(names):
             raise UnknownNameError("generator names must be distinct")
-        object.__setattr__(self, "names", names)
-        object.__setattr__(self, "_index", {n: i for i, n in enumerate(names)})
+        set_names, set_index = self._setters
+        set_names(self, names)
+        set_index(self, {n: i for i, n in enumerate(names)})
 
     def __len__(self) -> int:
         return len(self.names)
@@ -77,21 +77,24 @@ class Letter(Interned):
         return Letter(self.gen, -self.sign)
 
 
-@dataclass(frozen=True)
-class ReducedWord:
+class ReducedWord(Record):
     """A reduced word.  Construct through reduce_word or parse_word."""
 
+    __slots__ = ("alphabet", "letters")
     alphabet: Alphabet
     letters: tuple[Letter, ...]
 
-    def __post_init__(self) -> None:
-        n = len(self.alphabet)
-        for letter in self.letters:
+    def __init__(self, alphabet: Alphabet, letters: tuple[Letter, ...]) -> None:
+        n = len(alphabet)
+        for letter in letters:
             if not 0 <= letter.gen < n:
                 raise ValueError(f"letter index {letter.gen} out of range")
-        for a, b in zip(self.letters, self.letters[1:]):
+        for a, b in zip(letters, letters[1:]):
             if a.gen == b.gen and a.sign == -b.sign:
                 raise ValueError("word is not reduced")
+        set_alphabet, set_letters = self._setters
+        set_alphabet(self, alphabet)
+        set_letters(self, letters)
 
     def __len__(self) -> int:
         return len(self.letters)

@@ -6,7 +6,11 @@ whose rows are shifts by 0, 2, 1.  Laws are then checked on random
 words with hypothesis, including well-definedness of the action on
 unreduced spellings, which bypasses the public reducing constructors.
 The single-pass kernels are compared with the letter-at-a-time
-versions kept in reference_free on words of up to 200 letters.
+versions kept in reference_free on words of up to 200 letters.  Words
+evaluated in the dot group of a finite post-group whose triangle table
+is a diagonal left-regular magma must respect the action and the
+product, since evaluation is a post-group morphism out of the free
+post-group.
 """
 
 from __future__ import annotations
@@ -18,6 +22,11 @@ import reference_free as ref
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from postgroup_lab.finite_postgroup import (
+    conjugation_postgroup,
+    opposite,
+    symmetric_group,
+)
 from postgroup_lab.free_postgroup import (
     act,
     act_perm,
@@ -36,6 +45,7 @@ from postgroup_lab.magma import (
     validate_magma,
 )
 from postgroup_lab.perms import compose_perm, identity_perm
+from postgroup_lab.selftest import acceptance_corpus
 from postgroup_lab.words import (
     Letter,
     ReducedWord,
@@ -264,6 +274,38 @@ class TestAgainstReference:
         u = reduce_word(magma.alphabet, data.draw(long_raw_st(magma)))
         v = reduce_word(magma.alphabet, data.draw(long_raw_st(magma)))
         assert gl_product(magma, u, v) == ref.gl_product(magma, u, v)
+
+
+def _finite_postgroups():
+    """Each selftest corpus table and its opposite, and conjugation on
+    S4, with its triangle table as a magma: all 19 of them validate."""
+    tables = [conjugation_postgroup(symmetric_group(4))]
+    for _, pg in acceptance_corpus():
+        tables += [pg, opposite(pg)]
+    return [(pg, validate_magma(pg.elements, pg.triangle)) for pg in tables]
+
+
+FINITE = _finite_postgroups()
+
+
+def evaluate(pg, word):
+    """The image of a word in the dot group: m^-1 goes to m's dot inverse."""
+    value = pg.unit
+    for letter in word.letters:
+        value = pg.dot[value][letter.gen if letter.sign == 1 else pg.inv[letter.gen]]
+    return value
+
+
+class TestEvaluationInFinitePostgroups:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_evaluation_is_a_postgroup_morphism(self, data):
+        pg, magma = data.draw(st.sampled_from(FINITE))
+        u = reduce_word(magma.alphabet, data.draw(long_raw_st(magma, 12)))
+        v = reduce_word(magma.alphabet, data.draw(long_raw_st(magma, 12)))
+        ev_u, ev_v = evaluate(pg, u), evaluate(pg, v)
+        assert evaluate(pg, act(magma, u, v)) == pg.triangle[ev_u][ev_v]
+        assert evaluate(pg, dot(u, v)) == pg.dot[ev_u][ev_v]
 
 
 def test_roundtrips_on_a_word_of_ten_thousand_letters():

@@ -113,9 +113,8 @@ def _benchmark_library_modules():
     return sorted(n for n in names if n.split(".")[0] == "postgroup_lab")
 
 
-def test_benchmark_imports_no_check_module():
-    modules = _benchmark_library_modules()
-    assert "postgroup_lab.magnus" in modules
+def _loaded_after_importing(modules, *flags):
+    """The names in sys.modules of a fresh interpreter that imported modules."""
     script = (
         "import importlib, sys\n"
         f"for name in {modules!r}:\n"
@@ -123,11 +122,28 @@ def test_benchmark_imports_no_check_module():
         "print(' '.join(sorted(sys.modules)))\n"
     )
     done = subprocess.run(
-        [sys.executable, "-c", script],
+        [sys.executable, *flags, "-c", script],
         capture_output=True, text=True, check=True,
         env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
     )
-    loaded = set(done.stdout.split())
+    return set(done.stdout.split())
+
+
+def test_benchmark_imports_no_check_module():
+    modules = _benchmark_library_modules()
+    assert "postgroup_lab.magnus" in modules
+    loaded = _loaded_after_importing(modules)
     assert "postgroup_lab.tensor_postlie" in loaded
     for name in ("postgroup_lab.laws", "postgroup_lab.selftest", "postgroup_lab.cli"):
+        assert name not in loaded
+
+
+def test_cold_start_imports_no_dataclasses_inspect_or_typing():
+    # dataclasses brings inspect, ast, dis and tokenize, most of a cold
+    # start; -S keeps what site imports out of the count.  The CLI
+    # imports laws and selftest only in the verbs that use them.
+    modules = _benchmark_library_modules() + ["postgroup_lab.cli"]
+    loaded = _loaded_after_importing(modules, "-S")
+    assert "postgroup_lab.cli" in loaded and "site" not in loaded
+    for name in ("dataclasses", "inspect", "typing", "postgroup_lab.laws", "postgroup_lab.selftest"):
         assert name not in loaded
