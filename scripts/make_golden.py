@@ -153,6 +153,9 @@ def cases() -> list[list[str]]:
         out.append(["from-action", action])
     out.append(["from-action", "data/z2-fix2-action.json", "--out", "out/fix2.json"])
     out.append(["check-postgroup", "out/fix2.json"])
+    # the braid kernel's verdict at the 64-element cap
+    out.append(["from-action", "inputs/z2-fix6-action.json", "--out", "out/fix6.json"])
+    out.append(["ybe", "out/fix6.json"])
     for generators, degree in (("1", "0"), ("1", "4"), ("2", "3"), ("2", "4"), ("3", "3")):
         out.append(["kmap-tensor", "--generators", generators, "--degree", degree])
         out.append(["kmap-tensor", "--generators", generators, "--degree", degree,

@@ -14,7 +14,8 @@ refused by check_size, before any table of that size is built.
 The set-theoretic Yang-Baxter equation for R = flip after sigma is the
 braid relation of sigma read on reversed triples, so check_ybe and
 check_braid_equation share one kernel, _braid_failure, and report the
-same first failing triple.
+same first failing triple.  The kernel reads sigma from flat index
+lists, L[g*n + h] and R[g*n + h], built once per call.
 """
 
 from __future__ import annotations
@@ -357,23 +358,21 @@ def _braid_failure(braid: BraidMap):
     s12 s23 s12 and s23 s12 s23 differ, with both images; None if the
     braid relation holds on every triple."""
     n = len(braid)
-
-    def s12(t):
-        a, b = braid.sigma(t[0], t[1])
-        return (a, b, t[2])
-
-    def s23(t):
-        a, b = braid.sigma(t[1], t[2])
-        return (t[0], a, b)
-
+    L = [x for row in braid.left for x in row]
+    R = [x for row in braid.right for x in row]
     for g in range(n):
+        gn = g * n
         for h in range(n):
+            # s12 (g, h, k) = (a, b, k); keep a*n and b*n
+            an, bn, hn = L[gn + h] * n, R[gn + h] * n, h * n
             for k in range(n):
-                t = (g, h, k)
-                lhs = s12(s23(s12(t)))
-                rhs = s23(s12(s23(t)))
-                if lhs != rhs:
-                    return t, lhs, rhs
+                c, d = L[bn + k], R[bn + k]  # s23 (a, b, k) = (a, c, d)
+                p, q = L[hn + k], R[hn + k]  # s23 (g, h, k) = (g, p, q)
+                u, v = L[gn + p], R[gn + p]  # s12 (g, p, q) = (u, v, q)
+                # lhs = s12 (a, c, d), rhs = s23 (u, v, q)
+                x, y = an + c, v * n + q
+                if L[x] != u or R[x] != L[y] or d != R[y]:
+                    return (g, h, k), (L[x], R[x], d), (u, L[y], R[y])
     return None
 
 

@@ -117,6 +117,9 @@ class TensorPoly:
     def __setattr__(self, name, value):
         raise AttributeError("TensorPoly is immutable")
 
+    def __reduce__(self):
+        return TensorPoly, (dict(self.terms),)
+
     @classmethod
     def zero(cls) -> "TensorPoly":
         return cls()
@@ -166,11 +169,7 @@ class TensorPoly:
 
 def pair_tensor(left: TensorPoly, right: TensorPoly) -> TensorPoly:
     """left (x) right, keyed by (word, word) pairs."""
-    acc = {}
-    for u, a in left.terms.items():
-        for v, b in right.terms.items():
-            _add_into(acc, (u, v), a * b)
-    return TensorPoly(acc)
+    return _bilinear(lambda u, v: TensorPoly({(u, v): _ONE}), left, right)
 
 
 def _add_into(acc: dict, key, coeff) -> None:
@@ -384,11 +383,12 @@ def kmap_tensor_inverse(poly: TensorPoly, max_degree=DEGREE_CAP) -> TensorPoly:
 
 
 def is_primitive(poly: TensorPoly) -> bool:
-    expected = {}
+    # with no unit term, the empty-side splits give P (x) 1 + 1 (x) P; the rest cancel
+    proper = {}
     for word, coeff in poly.terms.items():
-        _add_into(expected, (word, ()), coeff)
-        _add_into(expected, ((), word), coeff)
-    return unshuffle(poly, max_degree=None) == TensorPoly(expected)
+        for pair in _splits(word)[1:-1]:
+            _add_into(proper, pair, coeff)
+    return () not in poly.terms and not proper
 
 
 def _require_primitive(*polys) -> None:

@@ -28,6 +28,7 @@ from postgroup_lab.errors import (
     SkewBraceLawError,
 )
 from postgroup_lab import finite_postgroup
+from postgroup_lab.action_postgroup import build_gauge_postgroup, validate_action
 from postgroup_lab.finite_postgroup import (
     BraidMap,
     braiding,
@@ -282,6 +283,29 @@ def corrupted_braidings(draw):
     return BraidMap(braid.elements, left, right)
 
 
+def fixing(points: int):
+    """Z/2 acting trivially on the given number of points."""
+    names = [f"p{i}" for i in range(points)]
+    return validate_action(Z2, names, [(i, i) for i in range(points)])
+
+
+# the 16-element braidings of the benchmark's finite-tables workload
+BENCH_BRAIDINGS = {
+    "z16-conjugation": lambda: braiding(conjugation_postgroup(cyclic_group(16))),
+    "gauge-fix4": lambda: braiding(build_gauge_postgroup(fixing(4))),
+}
+
+
+@st.composite
+def arbitrary_braidings(draw):
+    """Any in-range left and right tables on 2 to 5 elements."""
+    n = draw(st.integers(2, 5))
+    table = st.lists(st.lists(st.integers(0, n - 1), min_size=n, max_size=n),
+                     min_size=n, max_size=n)
+    left, right = (tuple(map(tuple, draw(table))) for _ in range(2))
+    return BraidMap(tuple(f"x{i}" for i in range(n)), left, right)
+
+
 class TestBraidKernelAgainstReference:
     """Both checks share one braid kernel; the closure-based triple loops
     they replaced give the same verdict and witness on broken braidings."""
@@ -309,6 +333,35 @@ class TestBraidKernelAgainstReference:
     def test_corpus_braidings_pass_both(self):
         for braid in CORPUS_BRAIDINGS:
             assert check_ybe(braid) == ref.check_ybe(braid) == CheckResult(True)
+
+    @pytest.mark.parametrize("side", ("left", "right"))
+    @pytest.mark.parametrize("name", sorted(BENCH_BRAIDINGS))
+    def test_last_row_changes_at_sixteen_elements(self, name, side):
+        # a change in the last row first shows late in lexicographic order.
+        # No single-entry change there breaks these braidings, so entry h
+        # of the row moves by h * shift
+        braid = BENCH_BRAIDINGS[name]()
+        n = len(braid)
+        for shift in range(1, n):
+            table = [list(r) for r in getattr(braid, side)]
+            table[n - 1] = [(x + h * shift) % n for h, x in enumerate(table[n - 1])]
+            tables = {"left": braid.left, "right": braid.right}
+            tables[side] = tuple(map(tuple, table))
+            bad = BraidMap(braid.elements, **tables)
+            assert check_braid_equation(bad) == ref.check_braid_equation(bad)
+            assert check_ybe(bad) == ref.check_ybe(bad)
+
+    def test_gauge_braiding_at_the_size_cap_passes(self):
+        braid = braiding(build_gauge_postgroup(fixing(6)))
+        assert len(braid) == finite_postgroup.TABLE_SIZE_CAP
+        assert check_braid_equation(braid) == check_ybe(braid) == CheckResult(True)
+
+    @settings(max_examples=200, deadline=None)
+    @given(braid=arbitrary_braidings())
+    def test_arbitrary_tables(self, braid):
+        # a loaded braiding need not come from a post-group
+        assert check_braid_equation(braid) == ref.check_braid_equation(braid)
+        assert check_ybe(braid) == ref.check_ybe(braid)
 
 
 class TestSkewBrace:

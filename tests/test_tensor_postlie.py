@@ -13,6 +13,7 @@ from fractions import Fraction
 
 import pytest
 import reference_magnus as ref
+import reference_tensor
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -123,6 +124,21 @@ trees_small = st.recursive(
 words_small = st.lists(trees_small, max_size=3).map(tuple).filter(
     lambda w: word_degree(w) <= 6
 )
+fractions_small = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@st.composite
+def primitivity_candidates(draw):
+    """Brackets of trees, which are primitive, plus any words, the unit
+    among them, all with Fraction coefficients; zero included."""
+    total = TensorPoly.zero()
+    trees = st.lists(st.tuples(fractions_small, trees_small, trees_small), max_size=3)
+    for c, s, t in draw(trees):
+        bracket = wpoly(s, t) - wpoly(t, s)
+        if draw(st.booleans()):
+            bracket = concat(wpoly(s), bracket) - concat(bracket, wpoly(s))
+        total = total + c * bracket
+    return total + TensorPoly(draw(st.dictionaries(words_small, fractions_small, max_size=3)))
 
 
 # ------------------------------------------------------------------ trees
@@ -544,6 +560,15 @@ class TestLieLayer:
         assert not is_primitive(TensorPoly.unit())
         assert is_primitive(ref.lie_bracket(X1, X2))
         assert is_primitive(ref.lie_bracket(X1, ref.lie_bracket(X1, X2)))
+
+    @settings(max_examples=100, deadline=None)
+    @given(poly=primitivity_candidates())
+    @example(poly=TensorPoly.zero())
+    @example(poly=TensorPoly.unit())
+    @example(poly=Fraction(-1, 2) * TensorPoly.unit() + X1)
+    @example(poly=Fraction(1, 3) * (concat(X1, X2) - concat(X2, X1)))
+    def test_primitivity_matches_the_full_coproduct(self, poly):
+        assert is_primitive(poly) == reference_tensor.is_primitive(poly)
 
     def test_non_primitive_inputs_are_rejected(self):
         bad = concat(X1, X2)
