@@ -238,6 +238,17 @@ class BraidMap(Record):
     left: tuple[tuple[int, ...], ...]
     right: tuple[tuple[int, ...], ...]
 
+    def __init__(self, elements, left, right) -> None:
+        # the braid kernel reads flat index lists, where an out-of-range
+        # entry would silently index another row
+        names = name_list(elements, "braiding elements")
+        n = len(names)
+        check_size(n, "braiding")
+        set_elements, set_left, set_right = self._setters
+        set_elements(self, names)
+        set_left(self, check_rows(left, names, n, n, "braiding left"))
+        set_right(self, check_rows(right, names, n, n, "braiding right"))
+
     def __len__(self) -> int:
         return len(self.elements)
 
@@ -277,7 +288,6 @@ def verify_braided_group(group: GroupTable, braid: BraidMap) -> None:
     n = len(names)
     if braid.elements != names:
         raise BraidedGroupError("braiding and group use different element names")
-    check_size(n, "braided-group verification")
     mul = group.table
     e = group.unit
 
@@ -346,11 +356,7 @@ def invert_braiding(braid: BraidMap) -> BraidMap:
             a, b = braid.left[g][h], braid.right[g][h]
             left[a][b] = g
             right[a][b] = h
-    return BraidMap(
-        braid.elements,
-        tuple(tuple(row) for row in left),
-        tuple(tuple(row) for row in right),
-    )
+    return BraidMap(braid.elements, left, right)
 
 
 def _braid_failure(braid: BraidMap):
@@ -379,7 +385,6 @@ def _braid_failure(braid: BraidMap):
 def check_braid_equation(braid: BraidMap) -> CheckResult:
     """(sigma x 1)(1 x sigma)(sigma x 1) == (1 x sigma)(sigma x 1)(1 x sigma)
     on all triples."""
-    check_size(len(braid), "braid equation check")
     failure = _braid_failure(braid)
     if failure is None:
         return CheckResult(True)
@@ -393,7 +398,6 @@ def check_ybe(braid: BraidMap) -> CheckResult:
     into s12 s23 s12, so the equation fails exactly where the braid
     relation of sigma does, at the same first triple.
     """
-    check_size(len(braid), "Yang-Baxter check")
     failure = _braid_failure(braid)
     if failure is None:
         return CheckResult(True)

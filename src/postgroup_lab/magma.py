@@ -122,16 +122,16 @@ def trivial_magma(elements: Sequence[str]) -> MagmaTable:
     return validate_magma(elements, [list(range(n)) for _ in range(n)])
 
 
-def cyclic_shift_magma(n: int, prefix: str = "x") -> MagmaTable:
-    """a |> b = b + 1 mod n on elements named prefix0 .. prefix{n-1}."""
-    elements = [f"{prefix}{i}" for i in range(n)]
+def cyclic_shift_magma(n: int) -> MagmaTable:
+    """a |> b = b + 1 mod n on elements named x0 .. x{n-1}."""
+    elements = [f"x{i}" for i in range(n)]
     row = [(j + 1) % n for j in range(n)]
     return validate_magma(elements, [list(row) for _ in range(n)])
 
 
-def shift_family_magma(shifts: Sequence[int], prefix: str = "x") -> MagmaTable:
+def shift_family_magma(shifts: Sequence[int]) -> MagmaTable:
     """a |> b = b + shifts[a] mod n, diagonal when a - shifts[a] is bijective."""
     n = len(shifts)
-    elements = [f"{prefix}{i}" for i in range(n)]
+    elements = [f"x{i}" for i in range(n)]
     rows = [[(j + s) % n for j in range(n)] for s in shifts]
     return validate_magma(elements, rows)

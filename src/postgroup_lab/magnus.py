@@ -7,13 +7,18 @@ logarithm for both products, the deformation series alpha(tx) =
 S_*(exp^.(tx)) |> x, the right flow Y' = Y.alpha solved order by order,
 and the twisted Magnus series: the twisted logarithm of exp^.(tx),
 checked against the paper's Bernoulli fixed point.  All exact.
+
+The twisted exponential, the logarithm and the right side of the
+fixed point are one computation, a weighted sum of the powers of one
+operator applied to a series, and share the kernel _power_sum; the
+deformation series is checked through the one convolution _convolve.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, factorial
 
 from .errors import CheckResult, ShapeError, SizeCapError
 from .interned import Record
@@ -130,20 +135,26 @@ def exp_dot_series(x: MagmaTree, order: int) -> TruncatedSeries:
     return TruncatedSeries(tuple(polys))
 
 
+def _power_sum(term: TruncatedSeries, step, weights) -> TruncatedSeries:
+    """term + sum_n weights[n-1] step^n(term), up to the first zero power."""
+    total = power = term
+    for weight in weights:
+        power = step(power)
+        if power.is_zero():
+            break
+        if weight:
+            total = total + weight * power
+    return total
+
+
 def exp_star_series(z: TruncatedSeries) -> TruncatedSeries:
     """exp of a zero-constant series for the twisted product."""
     order = z.order
     _check_order(order)
     if not z.coeffs[0].is_zero():
         raise ShapeError("twisted exp needs a vanishing constant term")
-    total = TruncatedSeries.unit(order)
-    power = TruncatedSeries.unit(order)
-    factorial = 1
-    for m in range(1, order + 1):
-        power = series_star(power, z)
-        factorial *= m
-        total = total + Fraction(1, factorial) * power
-    return total
+    weights = [Fraction(1, factorial(m)) for m in range(2, order + 1)]
+    return TruncatedSeries.unit(order) + _power_sum(z, lambda p: series_star(p, z), weights)
 
 
 def _log_series(y: TruncatedSeries, product) -> TruncatedSeries:
@@ -152,13 +163,8 @@ def _log_series(y: TruncatedSeries, product) -> TruncatedSeries:
     if y.coeffs[0] != TensorPoly.unit():
         raise ShapeError("log needs the constant coefficient to be the unit")
     shifted = y - TruncatedSeries.unit(y.order)
-    total = TruncatedSeries.zero(y.order)
-    power = TruncatedSeries.unit(y.order)
-    for m in range(1, y.order + 1):
-        power = product(power, shifted)
-        sign = Fraction(1, m) if m % 2 else Fraction(-1, m)
-        total = total + sign * power
-    return total
+    weights = [Fraction((-1) ** (m + 1), m) for m in range(2, y.order + 1)]
+    return _power_sum(shifted, lambda p: product(p, shifted), weights)
 
 
 def log_dot_series(y: TruncatedSeries) -> TruncatedSeries:
@@ -193,12 +199,11 @@ def alpha_series(x: MagmaTree, order: int) -> TruncatedSeries:
 def check_alpha_ode(x: MagmaTree, order: int, series: TruncatedSeries | None = None) -> CheckResult:
     """Verify (k+1) alpha_{k+1} = -sum_{i+j=k} alpha_i |> alpha_j."""
     alpha = alpha_series(x, order) if series is None else series
+    # order k of the right side reads alpha through order k only
+    head = TruncatedSeries(alpha.coeffs[:max(alpha.order, 1)])
+    rhs = _convolve(head, head, triangle)
     for k in range(alpha.order):
-        lhs = (k + 1) * alpha.coeffs[k + 1]
-        rhs = TensorPoly.zero()
-        for i in range(k + 1):
-            rhs = rhs - triangle(alpha.coeffs[i], alpha.coeffs[k - i])
-        if lhs != rhs:
+        if (k + 1) * alpha.coeffs[k + 1] != -rhs.coeffs[k]:
             return CheckResult(
                 False, f"flow equation for the deformation series fails at order {k}"
             )
@@ -222,18 +227,9 @@ def right_flow(alpha: TruncatedSeries) -> TruncatedSeries:
 
 
 def _magnus_rhs(omega: TruncatedSeries, alpha: TruncatedSeries) -> TruncatedSeries:
-    total = TruncatedSeries.zero(alpha.order)
-    iterated = alpha
-    factorial = 1
-    for n in range(alpha.order + 1):
-        factorial *= max(n, 1)
-        weight = bernoulli_modified(n)
-        if weight:
-            total = total + weight * Fraction(1, factorial) * iterated
-        iterated = _convolve(omega, iterated, gl_lie_bracket)
-        if iterated.is_zero():
-            break
-    return total
+    """sum_n (B~_n / n!) ad^n_omega(alpha), ad the twisted bracket."""
+    weights = [bernoulli_modified(n) / factorial(n) for n in range(1, alpha.order + 1)]
+    return _power_sum(alpha, lambda p: _convolve(omega, p, gl_lie_bracket), weights)
 
 
 def magnus_gl(x: MagmaTree, order: int) -> TruncatedSeries:

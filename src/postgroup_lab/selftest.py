@@ -218,12 +218,7 @@ def _criterion_negative_controls(seed: int, level: str):
     right = [list(row) for row in braid.right]
     left[0][0], left[0][1] = left[0][1], left[0][0]
     right[0][0], right[0][1] = right[0][1], right[0][0]
-    corrupted = BraidMap(
-        braid.elements,
-        tuple(tuple(row) for row in left),
-        tuple(tuple(row) for row in right),
-    )
-    result = check_braid_equation(corrupted)
+    result = check_braid_equation(BraidMap(braid.elements, left, right))
     if result.ok:
         return False, "the corrupted braiding still satisfies the braid equation"
     if result.witness is None:

@@ -129,8 +129,8 @@ class TensorPoly:
         return cls({(): _ONE})
 
     @classmethod
-    def from_word(cls, word: TensorWord, coeff=_ONE) -> "TensorPoly":
-        return cls({word: coeff})
+    def from_word(cls, word: TensorWord) -> "TensorPoly":
+        return cls({word: _ONE})
 
     def coeff(self, word: TensorWord) -> Fraction:
         return self.terms.get(word, Fraction(0))
@@ -444,34 +444,28 @@ def word_count(degree: int, generators: int) -> int:
     return comb(2 * degree, degree) // (degree + 1) * generators**degree
 
 
-def _generator_name(index: int, names=None) -> str:
-    if names is not None:
-        return names[index]
-    return f"x{index + 1}"
-
-
-def format_tree(tree: MagmaTree, names=None) -> str:
+def format_tree(tree: MagmaTree) -> str:
     if isinstance(tree, Leaf):
-        return _generator_name(tree.index, names)
-    return f"({format_tree(tree.left, names)}>{format_tree(tree.right, names)})"
+        return f"x{tree.index + 1}"
+    return f"({format_tree(tree.left)}>{format_tree(tree.right)})"
 
 
-def format_word(word: TensorWord, names=None) -> str:
+def format_word(word: TensorWord) -> str:
     if not word:
         return "1"
-    return ".".join(format_tree(t, names) for t in word)
+    return ".".join(format_tree(t) for t in word)
 
 
-def format_poly(poly: TensorPoly, names=None) -> str:
+def format_poly(poly: TensorPoly) -> str:
     if poly.is_zero():
         return "0"
     first = next(iter(poly.terms))
     if first and isinstance(first[0], tuple):
         # coproduct terms, keyed by (word, word) pairs
         order = lambda p: (word_key(p[0]), word_key(p[1]))
-        text = lambda p: f"[{format_word(p[0], names)} | {format_word(p[1], names)}]"
+        text = lambda p: f"[{format_word(p[0])} | {format_word(p[1])}]"
     else:
-        order, text = word_key, lambda w: format_word(w, names)
+        order, text = word_key, format_word
     parts = []
     for word in sorted(poly.terms, key=order):
         coeff = poly.terms[word]

@@ -1,4 +1,4 @@
-"""Order-by-order reference solver for the twisted Magnus series.
+"""Hand-written series loops, kept as oracles for the library's kernel.
 
 This is the original magnus_gl: it solves the paper's Bernoulli fixed
 point omega = integral of sum_n (B~_n / n!) ad^n_omega(alpha(tx)) one
@@ -10,13 +10,18 @@ right side, and uses only public library names.
 The concatenation bracket and the term-wise derivative of a series are
 kept here too: tests use them as a second path to the twisted bracket
 and to the flow equations, and the library itself needs neither.
+
+exp_star_series, log_series, magnus_rhs and check_alpha_ode are the
+loops the library had before its one power-sum kernel: each starts from
+the unit series and multiplies it out, and the deformation check sums
+its triangle products by hand.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from postgroup_lab.errors import NotPrimitiveError
+from postgroup_lab.errors import CheckResult, NotPrimitiveError, ShapeError
 from postgroup_lab.magnus import TruncatedSeries, alpha_series, bernoulli_modified
 from postgroup_lab.tensor_postlie import (
     MagmaTree,
@@ -24,7 +29,9 @@ from postgroup_lab.tensor_postlie import (
     concat,
     format_poly,
     gl_lie_bracket,
+    gl_star,
     is_primitive,
+    triangle,
 )
 
 
@@ -58,6 +65,47 @@ def convolve(left: TruncatedSeries, right: TruncatedSeries, product) -> Truncate
             total = total + product(a, b)
         out.append(total)
     return TruncatedSeries(tuple(out))
+
+
+def exp_star_series(z: TruncatedSeries) -> TruncatedSeries:
+    order = z.order
+    if not z.coeffs[0].is_zero():
+        raise ShapeError("twisted exp needs a vanishing constant term")
+    total = TruncatedSeries.unit(order)
+    power = TruncatedSeries.unit(order)
+    factorial = 1
+    for m in range(1, order + 1):
+        power = convolve(power, z, gl_star)
+        factorial *= m
+        total = total + Fraction(1, factorial) * power
+    return total
+
+
+def log_series(y: TruncatedSeries, product) -> TruncatedSeries:
+    """product is a TensorPoly product: concat or gl_star."""
+    if y.coeffs[0] != TensorPoly.unit():
+        raise ShapeError("log needs the constant coefficient to be the unit")
+    shifted = y - TruncatedSeries.unit(y.order)
+    total = TruncatedSeries.zero(y.order)
+    power = TruncatedSeries.unit(y.order)
+    for m in range(1, y.order + 1):
+        power = convolve(power, shifted, product)
+        sign = Fraction(1, m) if m % 2 else Fraction(-1, m)
+        total = total + sign * power
+    return total
+
+
+def check_alpha_ode(alpha: TruncatedSeries) -> CheckResult:
+    for k in range(alpha.order):
+        lhs = (k + 1) * alpha.coeffs[k + 1]
+        rhs = TensorPoly.zero()
+        for i in range(k + 1):
+            rhs = rhs - triangle(alpha.coeffs[i], alpha.coeffs[k - i])
+        if lhs != rhs:
+            return CheckResult(
+                False, f"flow equation for the deformation series fails at order {k}"
+            )
+    return CheckResult(True)
 
 
 def magnus_rhs(omega: TruncatedSeries, alpha: TruncatedSeries) -> TruncatedSeries:

@@ -1,14 +1,19 @@
 """End-to-end checks of the command line, driven in process."""
 
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from postgroup_lab import laws
 from postgroup_lab.action_postgroup import action_to_json, validate_action
@@ -473,3 +478,93 @@ class TestUnwritableOut:
             assert captured.out == ""
         assert captured.err.startswith(f"error: cannot write {out}: ")
         assert len(captured.err.splitlines()) == 1
+
+
+def _nodes(value, path=()):
+    """Every (path, value) of a JSON document, the root first."""
+    yield path, value
+    if isinstance(value, (dict, list)):
+        for key, child in value.items() if isinstance(value, dict) else enumerate(value):
+            yield from _nodes(child, path + (key,))
+
+
+OTHER_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 70), st.just(10**40),
+    st.floats(), st.text(max_size=3), st.just([]), st.just({}),
+    st.lists(st.integers(-1, 3), max_size=3),
+    st.dictionaries(st.text(max_size=2), st.none(), max_size=2),
+)
+
+
+@st.composite
+def mutated_files(draw, text):
+    """The bytes of a valid table file after one mutation: a flipped or
+    truncated byte, a name replaced by another name of the file, a value
+    swapped for a value of another type, a deleted entry, a duplicated
+    key, or deep nesting."""
+    data = bytearray(text.encode())
+    kinds = ("flip", "truncate", "rename", "swap", "delete", "duplicate", "nest")
+    kind = draw(st.sampled_from(kinds))
+    if kind == "flip":
+        data[draw(st.integers(0, len(data) - 1))] ^= draw(st.integers(1, 255))
+        return bytes(data)
+    if kind == "truncate":
+        return bytes(data[:draw(st.integers(0, len(data) - 1))])
+    if kind == "duplicate":
+        keys = [m.start() for m in re.finditer(r'"[^"]*": ', text)]
+        at = draw(st.sampled_from(keys))
+        key = text[at:text.index(":", at)]
+        return (text[:at] + f"{key}: {json.dumps(draw(OTHER_VALUES))}, " + text[at:]).encode()
+    doc = json.loads(text)
+    # below the root: a top level that is not an object is refused first
+    nodes = list(_nodes(doc))[1:]
+    names = sorted({v for _, v in nodes if isinstance(v, str)})
+    if kind == "rename":
+        nodes = [(p, v) for p, v in nodes if isinstance(v, str)]
+    path, value = draw(st.sampled_from(nodes))
+    if kind == "rename":
+        new = draw(st.sampled_from(names))
+    elif kind == "swap":
+        new = draw(OTHER_VALUES)
+    elif kind == "nest":
+        new = value
+        for _ in range(draw(st.integers(1, 60))):
+            new = [new] if draw(st.booleans()) else {"k": new}
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if kind == "delete":
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = new
+    return json.dumps(doc, indent=2).encode()
+
+
+@pytest.fixture(scope="module")
+def fuzz_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "table.json"
+
+
+class TestFuzzedTableFiles:
+    """Mutated copies of valid table files end in exit 0, 1 or 2 with no
+    exception; exit 1 comes with a law-failure line, exit 2 with an error line."""
+
+    @pytest.mark.parametrize("verb", sorted(TABLE_VERBS))
+    def test_every_outcome_is_an_exit_code(self, verb, valid_tables, fuzz_file):
+        kind, argv = TABLE_VERBS[verb]
+
+        @settings(max_examples=25, deadline=None)
+        @given(data=mutated_files(valid_tables[kind]))
+        def run(data):
+            fuzz_file.write_bytes(data)
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv(str(fuzz_file)))
+            out, err = out.getvalue(), err.getvalue()
+            assert code in (0, 1, 2)
+            if code == 1:
+                assert err.startswith("verification failed: ") or ": FAIL at " in out
+            if code == 2:
+                assert err.startswith("error: ")
+
+        run()

@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from postgroup_lab.errors import (
+    ActionLawError,
     AutomorphismError,
     BraidedGroupError,
     CheckResult,
@@ -56,6 +57,7 @@ from postgroup_lab.finite_postgroup import (
     validate_group,
     validate_postgroup,
     validate_skew_brace,
+    verify_braided_group,
 )
 from postgroup_lab.jsonio import dump_json, tables_to_json
 from postgroup_lab.selftest import acceptance_corpus
@@ -69,6 +71,15 @@ GROUPS = (Z2, Z3, Z4, S3)
 CORPUS = [trivial_postgroup(g) for g in GROUPS] + [
     conjugation_postgroup(g) for g in GROUPS
 ]
+Z3_BRAID = braiding(trivial_postgroup(Z3))
+
+
+def with_entries(table, entries):
+    """A list copy of table with the entries {(row, col): value} set."""
+    rows = [list(r) for r in table]
+    for (r, c), value in entries.items():
+        rows[r][c] = value
+    return rows
 
 
 def idx(group, name):
@@ -265,6 +276,32 @@ class TestBraiding:
         with pytest.raises(BraidedGroupError, match="act"):
             postgroup_from_braided(Z3, bad)
 
+    @pytest.mark.parametrize("side", ("left", "right"))
+    @pytest.mark.parametrize("entry", (3, -1))
+    def test_out_of_range_entry_is_refused(self, side, entry):
+        # the flat braid kernel would read entry 3 in the next row and
+        # entry -1 at the end of the table
+        tables = {"left": Z3_BRAID.left, "right": Z3_BRAID.right}
+        tables[side] = with_entries(tables[side], {(0, 1): entry})
+        with pytest.raises(
+            ShapeError, match=rf"^braiding {side} row '0' has out-of-range entry {entry}$"
+        ):
+            BraidMap(Z3_BRAID.elements, **tables)
+
+    @pytest.mark.parametrize("side", ("left", "right"))
+    def test_short_row_is_refused(self, side):
+        tables = {"left": Z3_BRAID.left, "right": Z3_BRAID.right}
+        tables[side] = [row[:2] if g == 2 else row for g, row in enumerate(tables[side])]
+        with pytest.raises(
+            ShapeError, match=rf"^braiding {side} row '2' has length 2, expected 3$"
+        ):
+            BraidMap(Z3_BRAID.elements, **tables)
+
+    def test_size_cap(self):
+        rows = [list(range(65))] * 65
+        with pytest.raises(SizeCapError, match="^braiding on 65 elements"):
+            BraidMap([f"x{i}" for i in range(65)], rows, rows)
+
 
 CORPUS_BRAIDINGS = [braiding(pg) for _, pg in acceptance_corpus()]
 
@@ -362,6 +399,89 @@ class TestBraidKernelAgainstReference:
         # a loaded braiding need not come from a post-group
         assert check_braid_equation(braid) == ref.check_braid_equation(braid)
         assert check_ybe(braid) == ref.check_ybe(braid)
+
+
+CONJ_S3 = conjugation_postgroup(S3)
+SWAP23 = (0, 1, 3, 2)
+Z4_RELABELED = [[SWAP23[Z4.table[SWAP23[a]][SWAP23[b]]] for b in range(4)] for a in range(4)]
+
+# one broken corpus table per exhaustive triple loop: the check, the
+# error, its full message and its witness
+WITNESSES = {
+    # (12).(12) set to (012); the unit's row and column are untouched
+    "group associativity": (
+        lambda: validate_group(S3.elements, with_entries(S3.table, {(1, 1): 3})),
+        GroupAxiomError,
+        "group is not associative at ((12), (12), (12)): "
+        "((12).(12)).(12) = (01) but (12).((12).(12)) = (02)",
+        (1, 1, 1),
+    ),
+    # (12) |> (012) and (12) |> (021) swapped, so the row stays a bijection
+    "triangle automorphism": (
+        lambda: validate_postgroup(
+            CONJ_S3.elements, CONJ_S3.dot,
+            with_entries(CONJ_S3.triangle, {(1, 3): 3, (1, 4): 4}),
+        ),
+        AutomorphismError,
+        "(12) |> - does not respect the dot product at ((12), (01)): "
+        "(12) |> ((12).(01)) = (012) but ((12) |> (12)).((12) |> (01)) = (021)",
+        (1, 1, 2),
+    ),
+    # the row of (12) replaced by the row of (01), another automorphism
+    "weighted associativity": (
+        lambda: validate_postgroup(
+            CONJ_S3.elements, CONJ_S3.dot,
+            with_entries(CONJ_S3.triangle, {(1, b): CONJ_S3.triangle[2][b] for b in range(6)}),
+        ),
+        PostGroupLawError,
+        "weighted associativity fails at ((12), (12), (12)): "
+        "((12)*(12)) |> (12) = (01) but (12) |> ((12) |> (12)) = (12)",
+        (1, 1, 1),
+    ),
+    # left[1][1] and left[1][2] swapped: sigma stays a bijection
+    "braided left action": (
+        lambda: verify_braided_group(Z3, BraidMap(
+            Z3_BRAID.elements, with_entries(Z3_BRAID.left, {(1, 1): 2, (1, 2): 1}),
+            Z3_BRAID.right,
+        )),
+        BraidedGroupError,
+        "left component is not an action at (1, 2, 1)",
+        (1, 2, 1),
+    ),
+    # right[1][1] and right[2][1] swapped
+    "braided right action": (
+        lambda: verify_braided_group(Z3, BraidMap(
+            Z3_BRAID.elements, Z3_BRAID.left,
+            with_entries(Z3_BRAID.right, {(1, 1): 2, (2, 1): 1}),
+        )),
+        BraidedGroupError,
+        "right component is not an action at (1, 1, 2)",
+        (1, 1, 2),
+    ),
+    # the star product is Z/4 relabeled by swapping 2 and 3
+    "skew brace law": (
+        lambda: validate_skew_brace(Z4.elements, Z4.table, Z4_RELABELED),
+        SkewBraceLawError,
+        "skew brace law fails at (1, 1, 1): g*(h.k) = 0 but (g*h).g^(-1).(g*k) = 1",
+        (1, 1, 1),
+    ),
+    # the trivial action of Z/2 on two points with q.1 set to p
+    "action composition": (
+        lambda: validate_action(Z2, ("p", "q"), with_entries(((0, 0), (1, 1)), {(1, 1): 0})),
+        ActionLawError,
+        "composition fails at (q, 1, 1): (m.g).h = p but m.(g.h) = q",
+        (1, 1, 1),
+    ),
+}
+
+
+@pytest.mark.parametrize("law", sorted(WITNESSES))
+def test_law_failure_message_and_witness(law):
+    check, error, message, witness = WITNESSES[law]
+    with pytest.raises(error) as failure:
+        check()
+    assert str(failure.value) == message
+    assert failure.value.witness == witness
 
 
 class TestSkewBrace:

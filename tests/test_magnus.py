@@ -14,12 +14,15 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import reference_magnus as ref
 from postgroup_lab.errors import NotPrimitiveError, ShapeError, SizeCapError
 from postgroup_lab.magnus import (
     TruncatedSeries,
     _log_series,
+    _magnus_rhs,
     alpha_series,
     bernoulli_modified,
     check_alpha_ode,
@@ -39,12 +42,15 @@ from postgroup_lab.tensor_postlie import (
     Leaf,
     Node,
     TensorPoly,
+    concat,
     gl_lie_bracket,
     gl_star,
     is_primitive,
     kmap_tensor,
     unshuffle,
+    trees_of_degree,
     word_degree,
+    words_of_degree,
 )
 
 X = Leaf(0)
@@ -299,3 +305,79 @@ class TestSeriesProducts:
         for i in range(3):
             expected = expected + gl_star(a.coeff(i), b.coeff(2 - i))
         assert got == expected
+
+
+# ---------------------------------------------- the power-sum kernel
+
+WORDS = {d: words_of_degree(d, 2) for d in range(1, 6)}
+TREES = {d: tuple((t,) for t in trees_of_degree(d, 2)) for d in range(1, 6)}
+
+
+@st.composite
+def graded_series(draw, constant, words=WORDS):
+    """A series of order 0 to 5 with the given constant; its t^k
+    coefficient combines up to two words of degree 1 to k over two
+    generators, so no product passes the degree cap.  Over TREES every
+    coefficient is primitive."""
+    coeffs = [constant]
+    for k in range(1, draw(st.integers(0, 5)) + 1):
+        terms = {}
+        for _ in range(draw(st.integers(0, 2))):
+            word = draw(st.sampled_from(words[draw(st.integers(1, k))]))
+            terms[word] = draw(st.fractions(-3, 3, max_denominator=4))
+        coeffs.append(TensorPoly(terms))
+    return TruncatedSeries(tuple(coeffs))
+
+
+def comb_tree(degree, leaf):
+    tree = X
+    for _ in range(degree - 1):
+        tree = Node(tree, leaf)
+    return tree
+
+
+class TestPowerSumAgainstReference:
+    """exp^*, both logarithms, the Magnus right side and the deformation
+    check against the loops they replaced (tests/reference_magnus.py)."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(z=graded_series(TensorPoly.zero()))
+    def test_twisted_exp(self, z):
+        assert exp_star_series(z) == ref.exp_star_series(z)
+
+    @settings(max_examples=40, deadline=None)
+    @given(y=graded_series(TensorPoly.unit()))
+    @pytest.mark.parametrize(
+        "series_product, product", [(series_concat, concat), (series_star, gl_star)]
+    )
+    def test_log(self, y, series_product, product):
+        assert _log_series(y, series_product) == ref.log_series(y, product)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        omega=graded_series(TensorPoly.zero(), TREES),
+        alpha=graded_series(TensorPoly.from_word((Leaf(1),)), TREES),
+    )
+    def test_magnus_right_side_on_primitive_series(self, omega, alpha):
+        assert _magnus_rhs(omega, alpha) == ref.magnus_rhs(omega, alpha)
+
+    @pytest.mark.parametrize("order", range(7))
+    def test_magnus_right_side(self, order):
+        omega, alpha = magnus_gl(X, order), alpha_series(X, order)
+        assert _magnus_rhs(omega, alpha) == ref.magnus_rhs(omega, alpha)
+
+    @pytest.mark.parametrize("order", range(6))
+    def test_deformation_check_with_one_extra_tree(self, order):
+        alpha = alpha_series(X, order)
+        assert check_alpha_ode(X, order, alpha) == ref.check_alpha_ode(alpha)
+        for k in range(order + 1):
+            for leaf in (X, Leaf(1)):
+                broken = list(alpha.coeffs)
+                broken[k] = broken[k] + TensorPoly.from_word((comb_tree(k + 1, leaf),))
+                broken = TruncatedSeries(tuple(broken))
+                report = check_alpha_ode(X, order, broken)
+                assert report == ref.check_alpha_ode(broken)
+                if order:
+                    assert report.witness.endswith(f"at order {max(k - 1, 0)}")
+                else:
+                    assert report.ok

@@ -641,7 +641,6 @@ class TestFormatting:
     def test_tree_and_word_text(self):
         tree = Node(A0, Node(A1, A2))
         assert format_tree(tree) == "(x1>(x2>x3))"
-        assert format_tree(tree, names=("a", "b", "c")) == "(a>(b>c))"
         assert format_word((A0, tree)) == "x1.(x1>(x2>x3))"
         assert format_word(()) == "1"
 
