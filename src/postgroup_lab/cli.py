@@ -154,8 +154,6 @@ def cmd_check_posthopf(args: argparse.Namespace) -> int:
 
 
 def cmd_magnus(args: argparse.Namespace) -> int:
-    if args.generators != 1:
-        raise SchemaError("the series solver supports exactly one generator")
     from .laws import magnus_identities
 
     omega, checks = magnus_identities(Leaf(0), args.order)
@@ -263,7 +261,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = verb("magnus", cmd_magnus, "series solver with identity checks")
     p.add_argument("--order", type=_nonnegative, required=True)
-    p.add_argument("--generators", type=_positive, default=1)
 
     p = verb("selftest", cmd_selftest, "run the acceptance criteria")
     p.add_argument("--seed", type=int, default=0)

@@ -10,8 +10,12 @@ checked against the paper's Bernoulli fixed point.  All exact.
 
 The twisted exponential, the logarithm and the right side of the
 fixed point are one computation, a weighted sum of the powers of one
-operator applied to a series, and share the kernel _power_sum; the
-deformation series is checked through the one convolution _convolve.
+operator applied to a series, and share the kernel _power_sum.  Series
+products, the deformation check and the right flow sum their cross
+terms through one helper, _convolution_coeff.
+
+The order is checked once, in exp_dot_series, where every series the
+verbs build starts; the other functions take any series they are given.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from .tensor_postlie import (
     DEGREE_CAP,
     MagmaTree,
     TensorPoly,
+    _add_into,
     antipode_star,
     concat,
     gl_lie_bracket,
@@ -86,18 +91,22 @@ class TruncatedSeries(Record):
         return all(c.is_zero() for c in self.coeffs)
 
 
+def _convolution_coeff(left, right, k: int, product) -> TensorPoly:
+    """sum over i + j = k of product(left[i], right[j]), in one dict."""
+    acc = {}
+    for i in range(k + 1):
+        a, b = left[i], right[k - i]
+        if a.terms and b.terms:
+            for word, coeff in product(a, b).terms.items():
+                _add_into(acc, word, coeff)
+    return TensorPoly(acc)
+
+
 def _convolve(left: TruncatedSeries, right: TruncatedSeries, product) -> TruncatedSeries:
     order = min(left.order, right.order)
-    out = []
-    for k in range(order + 1):
-        total = TensorPoly.zero()
-        for i in range(k + 1):
-            a, b = left.coeffs[i], right.coeffs[k - i]
-            if a.is_zero() or b.is_zero():
-                continue
-            total = total + product(a, b)
-        out.append(total)
-    return TruncatedSeries(tuple(out))
+    return TruncatedSeries(tuple(
+        _convolution_coeff(left.coeffs, right.coeffs, k, product) for k in range(order + 1)
+    ))
 
 
 def series_concat(left: TruncatedSeries, right: TruncatedSeries) -> TruncatedSeries:
@@ -116,18 +125,14 @@ def integrate(series: TruncatedSeries) -> TruncatedSeries:
     return TruncatedSeries(tuple(polys))
 
 
-def _check_order(order: int) -> None:
+def exp_dot_series(x: MagmaTree, order: int) -> TruncatedSeries:
+    """exp of tx for the concatenation product: t^k x^{.k} / k!."""
     if order < 0:
         raise ShapeError("series order must be nonnegative")
     if order + 1 > DEGREE_CAP:
         raise SizeCapError(
             f"order {order} would need leaf degrees past the cap {DEGREE_CAP}"
         )
-
-
-def exp_dot_series(x: MagmaTree, order: int) -> TruncatedSeries:
-    """exp of tx for the concatenation product: t^k x^{.k} / k!."""
-    _check_order(order)
     polys, factorial = [], 1
     for k in range(order + 1):
         factorial *= max(k, 1)
@@ -150,7 +155,6 @@ def _power_sum(term: TruncatedSeries, step, weights) -> TruncatedSeries:
 def exp_star_series(z: TruncatedSeries) -> TruncatedSeries:
     """exp of a zero-constant series for the twisted product."""
     order = z.order
-    _check_order(order)
     if not z.coeffs[0].is_zero():
         raise ShapeError("twisted exp needs a vanishing constant term")
     weights = [Fraction(1, factorial(m)) for m in range(2, order + 1)]
@@ -159,7 +163,6 @@ def exp_star_series(z: TruncatedSeries) -> TruncatedSeries:
 
 def _log_series(y: TruncatedSeries, product) -> TruncatedSeries:
     """log of a unit-constant series: sum_m (-1)^(m+1)/m (Y - 1)^m."""
-    _check_order(y.order)
     if y.coeffs[0] != TensorPoly.unit():
         raise ShapeError("log needs the constant coefficient to be the unit")
     shifted = y - TruncatedSeries.unit(y.order)
@@ -190,7 +193,6 @@ def bernoulli_modified(n: int) -> Fraction:
 
 def alpha_series(x: MagmaTree, order: int) -> TruncatedSeries:
     """The deformation series S_*(exp^.(tx)) |> x; t^k has degree k+1."""
-    _check_order(order)
     letter = TensorPoly({(x,): 1})
     exp = exp_dot_series(x, order)
     return TruncatedSeries(tuple(triangle(antipode_star(c), letter) for c in exp.coeffs))
@@ -219,10 +221,7 @@ def right_flow(alpha: TruncatedSeries) -> TruncatedSeries:
     """Solve Y' = Y.alpha, Y(0) = 1, through the order of alpha."""
     polys = [TensorPoly.unit()]
     for k in range(alpha.order):
-        total = TensorPoly.zero()
-        for i in range(k + 1):
-            total = total + concat(polys[i], alpha.coeffs[k - i])
-        polys.append(Fraction(1, k + 1) * total)
+        polys.append(Fraction(1, k + 1) * _convolution_coeff(polys, alpha.coeffs, k, concat))
     return TruncatedSeries(tuple(polys))
 
 

@@ -14,7 +14,9 @@ and to the flow equations, and the library itself needs neither.
 exp_star_series, log_series, magnus_rhs and check_alpha_ode are the
 loops the library had before its one power-sum kernel: each starts from
 the unit series and multiplies it out, and the deformation check sums
-its triangle products by hand.
+its triangle products by hand.  convolve and right_flow are the loops
+the library had before its one convolution helper: each adds the cross
+terms of one order with a TensorPoly sum per term.
 """
 
 from __future__ import annotations
@@ -106,6 +108,17 @@ def check_alpha_ode(alpha: TruncatedSeries) -> CheckResult:
                 False, f"flow equation for the deformation series fails at order {k}"
             )
     return CheckResult(True)
+
+
+def right_flow(alpha: TruncatedSeries) -> TruncatedSeries:
+    """Solve Y' = Y.alpha, Y(0) = 1, through the order of alpha."""
+    polys = [TensorPoly.unit()]
+    for k in range(alpha.order):
+        total = TensorPoly.zero()
+        for i in range(k + 1):
+            total = total + concat(polys[i], alpha.coeffs[k - i])
+        polys.append(Fraction(1, k + 1) * total)
+    return TruncatedSeries(tuple(polys))
 
 
 def magnus_rhs(omega: TruncatedSeries, alpha: TruncatedSeries) -> TruncatedSeries:

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from postgroup_lab import laws
+from postgroup_lab import laws, magnus
 from postgroup_lab.action_postgroup import action_to_json, validate_action
 from postgroup_lab.cli import _resolve_seed, main
 from postgroup_lab.finite_postgroup import (
@@ -240,8 +240,21 @@ class TestTensorVerbs:
         assert sum(1 for line in out if line.endswith(": OK")) == 3
 
     def test_magnus_needs_one_generator(self, capsys):
+        # the solver works on one generator, so there is no flag to pick more
         assert main(["magnus", "--order", "2", "--generators", "2"]) == 2
-        assert "one generator" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments: --generators 2" in captured.err
+
+    def test_magnus_refuses_order_past_cap_before_work(self, capsys, monkeypatch):
+        calls = []
+        for name in ("antipode_star", "triangle"):
+            monkeypatch.setattr(magnus, name, lambda *args, name=name: calls.append(name))
+        assert main(["magnus", "--order", "8"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "past the cap 8" in captured.err
+        assert calls == []
 
     # SHA-256 of the stdout of the order-by-order solver, before Omega
     # became the twisted log of exp^.(tx); order 7 is pinned from the
@@ -335,7 +348,8 @@ class TestSelftestAndPlumbing:
         assert "POSTGROUP_LAB_SEED" in capsys.readouterr().err
 
     # SHA-256 of the --help text of each verb at 80 columns (Python 3.11
-    # argparse), while every verb still had its own handler function
+    # argparse), while every verb still had its own handler function;
+    # magnus is pinned from after its --generators flag went
     @pytest.mark.parametrize("verb, digest", [
         ("--help", "e1157862e2986cf25727818e74351368acfa5b09ca0b40925e0f8ccaa4e8be41"),
         ("validate-magma", "6f5b1e6a730c79c3ea6ab507d9a59190ca0971d8283b11a2dd663a42ec950106"),
@@ -355,7 +369,7 @@ class TestSelftestAndPlumbing:
         ("from-action", "cac99af282681065048e3ebf5e533888119de7177f0a8948a8b28aeb0a2a9273"),
         ("kmap-tensor", "8b0495f7d7e03138a5a3094a26817ba93c33f6dfbaaf741561fd978dc0757fad"),
         ("check-posthopf", "0839dd508d74409c2f9b6c4386be349219ac8f0643ee558a697e1e7d14b59b63"),
-        ("magnus", "92be5f8e7b38587ea295717417baa592d85eefb559894e2123cc9f30d48dfd62"),
+        ("magnus", "acfe656008fd1ad0e2894eaf94905e9065af7806ab5f04b8c88ac5354250d910"),
         ("selftest", "02f6b2425cdef3e5384dd48eef8a33f44c3053bc07328941d5166bf4e001787e"),
     ])
     def test_help_text_is_pinned(self, monkeypatch, capsys, verb, digest):

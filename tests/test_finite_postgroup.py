@@ -266,15 +266,21 @@ class TestBraiding:
             postgroup_from_braided(Z3, bad)
 
     def test_benign_value_swap_still_needs_the_action_laws(self):
-        # swapping sigma(0,1) <-> sigma(0,2) happens to keep the braid
-        # equation true, yet the left component stops being an action
-        braid = braiding(trivial_postgroup(Z3))
-        left = [list(row) for row in braid.left]
-        left[0][1], left[0][2] = left[0][2], left[0][1]
-        bad = BraidMap(braid.elements, tuple(tuple(r) for r in left), braid.right)
+        # swapping sigma(1,2) = (2,1) with sigma(2,1) = (1,2) keeps sigma a
+        # bijection, leaves the unit's row and column alone, keeps
+        # (g -> h) * (g <- h) = g * h and keeps the braid equation true,
+        # yet the left component stops being an action
+        bad = BraidMap(
+            Z3_BRAID.elements,
+            with_entries(Z3_BRAID.left, {(1, 2): 1, (2, 1): 2}),
+            with_entries(Z3_BRAID.right, {(1, 2): 2, (2, 1): 1}),
+        )
         assert check_braid_equation(bad).ok
-        with pytest.raises(BraidedGroupError, match="act"):
+        with pytest.raises(
+            BraidedGroupError, match=r"^left component is not an action at \(1, 1, 1\)$"
+        ) as info:
             postgroup_from_braided(Z3, bad)
+        assert info.value.witness == (1, 1, 1)
 
     @pytest.mark.parametrize("side", ("left", "right"))
     @pytest.mark.parametrize("entry", (3, -1))

@@ -34,6 +34,7 @@ from postgroup_lab.magnus import (
     integrate,
     log_dot_series,
     magnus_gl,
+    right_flow,
     series_concat,
     series_star,
     solve_right_flow,
@@ -381,3 +382,26 @@ class TestPowerSumAgainstReference:
                     assert report.witness.endswith(f"at order {max(k - 1, 0)}")
                 else:
                     assert report.ok
+
+
+class TestConvolutionAgainstReference:
+    """Series products and the right flow against the loops that summed
+    one TensorPoly per cross term (tests/reference_magnus.py)."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(left=graded_series(TensorPoly.unit()), right=graded_series(XP))
+    @pytest.mark.parametrize(
+        "series_product, product", [(series_concat, concat), (series_star, gl_star)]
+    )
+    def test_series_products(self, left, right, series_product, product):
+        assert series_product(left, right) == ref.convolve(left, right, product)
+
+    @settings(max_examples=30, deadline=None)
+    @given(alpha=graded_series(XP))
+    def test_right_flow_on_random_series(self, alpha):
+        assert right_flow(alpha) == ref.right_flow(alpha)
+
+    @pytest.mark.parametrize("order", range(8))
+    def test_right_flow_of_the_deformation_series(self, order):
+        alpha = alpha_series(X, order)
+        assert right_flow(alpha) == ref.right_flow(alpha)
