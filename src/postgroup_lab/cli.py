@@ -21,7 +21,7 @@ from .words import word_str
 from .free_postgroup import act, gl_inverse, gl_product, jmap, kmap, parse_over
 from .finite_postgroup import (
     braiding,
-    check_braid_equation,
+    check_braid_laws,
     check_ybe,
     conjugation_postgroup,
     load_group,
@@ -92,11 +92,7 @@ def _print_checks(checks) -> int:
 def cmd_check_postgroup(args: argparse.Namespace) -> int:
     pg = load_postgroup(args.file)
     print("post-group laws: OK")
-    braid = braiding(pg)
-    if _print_checks((
-        ("braid equation", check_braid_equation(braid)),
-        ("Yang-Baxter", check_ybe(braid)),
-    )):
+    if _print_checks(check_braid_laws(braiding(pg)).items()):
         return 1
     to_skew_brace(pg)
     print("skew brace: OK")

@@ -12,8 +12,8 @@ element names.  Tables of more than TABLE_SIZE_CAP = 64 elements are
 refused by check_size, before any table of that size is built.
 
 The set-theoretic Yang-Baxter equation for R = flip after sigma is the
-braid relation of sigma read on reversed triples, so check_ybe and
-check_braid_equation share one kernel, _braid_failure, and report the
+braid relation of sigma read on reversed triples, so check_braid_laws
+gets both results from one pass of the kernel, _braid_failure, at the
 same first failing triple.  The kernel reads sigma from flat index
 lists, L[g*n + h] and R[g*n + h], built once per call.
 """
@@ -382,27 +382,29 @@ def _braid_failure(braid: BraidMap):
     return None
 
 
+def check_braid_laws(braid: BraidMap) -> dict:
+    """check_braid_equation and check_ybe, keyed by law, from one kernel
+    pass.  Reversing a triple turns R12 R13 R23 into s23 s12 s23 and
+    R23 R13 R12 into s12 s23 s12, so both fail at the same first triple."""
+    failure = _braid_failure(braid)
+    if failure is None:
+        return dict.fromkeys(("braid equation", "Yang-Baxter"), CheckResult(True))
+    t, lhs, rhs = failure
+    return {
+        "braid equation": _triple_failure("braid equation", braid.elements, t, lhs, rhs),
+        "Yang-Baxter": _triple_failure("Yang-Baxter", braid.elements, t, rhs[::-1], lhs[::-1]),
+    }
+
+
 def check_braid_equation(braid: BraidMap) -> CheckResult:
     """(sigma x 1)(1 x sigma)(sigma x 1) == (1 x sigma)(sigma x 1)(1 x sigma)
     on all triples."""
-    failure = _braid_failure(braid)
-    if failure is None:
-        return CheckResult(True)
-    return _triple_failure("braid equation", braid.elements, *failure)
+    return check_braid_laws(braid)["braid equation"]
 
 
 def check_ybe(braid: BraidMap) -> CheckResult:
-    """R12 R13 R23 == R23 R13 R12 for R = flip after sigma.
-
-    Reversing a triple turns R12 R13 R23 into s23 s12 s23 and R23 R13 R12
-    into s12 s23 s12, so the equation fails exactly where the braid
-    relation of sigma does, at the same first triple.
-    """
-    failure = _braid_failure(braid)
-    if failure is None:
-        return CheckResult(True)
-    t, lhs, rhs = failure
-    return _triple_failure("Yang-Baxter", braid.elements, t, rhs[::-1], lhs[::-1])
+    """R12 R13 R23 == R23 R13 R12 for R = flip after sigma."""
+    return check_braid_laws(braid)["Yang-Baxter"]
 
 
 def _triple_failure(law: str, names: tuple[str, ...], *triples) -> CheckResult:

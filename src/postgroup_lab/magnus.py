@@ -10,9 +10,9 @@ checked against the paper's Bernoulli fixed point.  All exact.
 
 The twisted exponential, the logarithm and the right side of the
 fixed point are one computation, a weighted sum of the powers of one
-operator applied to a series, and share the kernel _power_sum.  Series
-products, the deformation check and the right flow sum their cross
-terms through one helper, _convolution_coeff.
+operator applied to a series, and share the kernel _power_sum.  Each
+order of a product, a power sum, an integral, a flow step or alpha is
+one dict summed over memoised word kernels, then wrapped once.
 
 The order is checked once, in exp_dot_series, where every series the
 verbs build starts; the other functions take any series they are given.
@@ -28,16 +28,17 @@ from .errors import CheckResult, ShapeError, SizeCapError
 from .interned import Record
 from .tensor_postlie import (
     DEGREE_CAP,
+    _ONE,
     MagmaTree,
     TensorPoly,
     _add_into,
-    antipode_star,
-    concat,
-    gl_lie_bracket,
-    gl_star,
+    _bilinear,
+    _gl_word,
+    _require_primitive,
+    _sstar_word,
+    _tri_word,
     is_primitive,
     kmap_tensor,
-    triangle,
 )
 
 
@@ -91,38 +92,56 @@ class TruncatedSeries(Record):
         return all(c.is_zero() for c in self.coeffs)
 
 
-def _convolution_coeff(left, right, k: int, product) -> TensorPoly:
-    """sum over i + j = k of product(left[i], right[j]), in one dict."""
+def _scaled(terms: dict, scalar) -> TensorPoly:
+    """The terms times a nonzero scalar."""
+    return TensorPoly._of({word: scalar * c for word, c in terms.items()})
+
+
+def _concat_word(u, v) -> TensorPoly:
+    return TensorPoly._of({u + v: _ONE})
+
+
+def _bracket_word(u, v) -> TensorPoly:
+    """The twisted bracket u.v - v.u + u |> v - v |> u of two words."""
+    acc = {}
+    for sign, a, b in ((_ONE, u, v), (-_ONE, v, u)):
+        _add_into(acc, a + b, sign)
+        for word, c in _tri_word(a, b).terms.items():
+            _add_into(acc, word, sign * c)
+    return TensorPoly._of(acc)
+
+
+def _convolution_coeff(left, right, k: int, word_product, checked=None) -> dict:
+    """sum over i + j = k of left[i] right[j], in one dict.  Given a set
+    checked, each coefficient is checked primitive at its first pair."""
     acc = {}
     for i in range(k + 1):
         a, b = left[i], right[k - i]
         if a.terms and b.terms:
-            for word, coeff in product(a, b).terms.items():
-                _add_into(acc, word, coeff)
-    return TensorPoly(acc)
+            if checked is not None:
+                _require_primitive(*(poly for poly in (a, b) if id(poly) not in checked))
+                checked.update((id(a), id(b)))
+            _bilinear(word_product, a, b, acc)
+    return acc
 
 
-def _convolve(left: TruncatedSeries, right: TruncatedSeries, product) -> TruncatedSeries:
-    order = min(left.order, right.order)
-    return TruncatedSeries(tuple(
-        _convolution_coeff(left.coeffs, right.coeffs, k, product) for k in range(order + 1)
-    ))
+def _convolve(left: TruncatedSeries, right: TruncatedSeries, word_product, checked=None):
+    orders = range(min(left.order, right.order) + 1)
+    sums = (_convolution_coeff(left.coeffs, right.coeffs, k, word_product, checked) for k in orders)
+    return TruncatedSeries(tuple(map(TensorPoly._of, sums)))
 
 
 def series_concat(left: TruncatedSeries, right: TruncatedSeries) -> TruncatedSeries:
-    return _convolve(left, right, concat)
+    return _convolve(left, right, _concat_word)
 
 
 def series_star(left: TruncatedSeries, right: TruncatedSeries) -> TruncatedSeries:
-    return _convolve(left, right, gl_star)
+    return _convolve(left, right, _gl_word)
 
 
 def integrate(series: TruncatedSeries) -> TruncatedSeries:
-    polys = [TensorPoly.zero()]
-    polys += [
-        Fraction(1, k + 1) * series.coeffs[k] for k in range(series.order + 1)
-    ]
-    return TruncatedSeries(tuple(polys))
+    tail = (_scaled(c.terms, Fraction(1, k + 1)) for k, c in enumerate(series.coeffs))
+    return TruncatedSeries((TensorPoly.zero(), *tail))
 
 
 def exp_dot_series(x: MagmaTree, order: int) -> TruncatedSeries:
@@ -136,29 +155,31 @@ def exp_dot_series(x: MagmaTree, order: int) -> TruncatedSeries:
     polys, factorial = [], 1
     for k in range(order + 1):
         factorial *= max(k, 1)
-        polys.append(TensorPoly({(x,) * k: Fraction(1, factorial)}))
+        polys.append(TensorPoly._of({(x,) * k: Fraction(1, factorial)}))
     return TruncatedSeries(tuple(polys))
 
 
 def _power_sum(term: TruncatedSeries, step, weights) -> TruncatedSeries:
     """term + sum_n weights[n-1] step^n(term), up to the first zero power."""
-    total = power = term
+    totals, power = [dict(c.terms) for c in term.coeffs], term
     for weight in weights:
         power = step(power)
         if power.is_zero():
             break
         if weight:
-            total = total + weight * power
-    return total
+            del totals[power.order + 1:]
+            for acc, coeff in zip(totals, power.coeffs):
+                for word, c in coeff.terms.items():
+                    _add_into(acc, word, weight * c)
+    return TruncatedSeries(tuple(map(TensorPoly._of, totals)))
 
 
 def exp_star_series(z: TruncatedSeries) -> TruncatedSeries:
     """exp of a zero-constant series for the twisted product."""
-    order = z.order
     if not z.coeffs[0].is_zero():
         raise ShapeError("twisted exp needs a vanishing constant term")
-    weights = [Fraction(1, factorial(m)) for m in range(2, order + 1)]
-    return TruncatedSeries.unit(order) + _power_sum(z, lambda p: series_star(p, z), weights)
+    weights = [Fraction(1, factorial(m)) for m in range(2, z.order + 1)]
+    return TruncatedSeries.unit(z.order) + _power_sum(z, lambda p: series_star(p, z), weights)
 
 
 def _log_series(y: TruncatedSeries, product) -> TruncatedSeries:
@@ -193,19 +214,19 @@ def bernoulli_modified(n: int) -> Fraction:
 
 def alpha_series(x: MagmaTree, order: int) -> TruncatedSeries:
     """The deformation series S_*(exp^.(tx)) |> x; t^k has degree k+1."""
-    letter = TensorPoly({(x,): 1})
-    exp = exp_dot_series(x, order)
-    return TruncatedSeries(tuple(triangle(antipode_star(c), letter) for c in exp.coeffs))
+    letter, polys = TensorPoly.from_word((x,)), []
+    for coeff in exp_dot_series(x, order).coeffs:
+        ((word, scale),) = coeff.terms.items()
+        polys.append(_scaled(_bilinear(_tri_word, _sstar_word(word), letter, {}), scale))
+    return TruncatedSeries(tuple(polys))
 
 
 def check_alpha_ode(x: MagmaTree, order: int, series: TruncatedSeries | None = None) -> CheckResult:
     """Verify (k+1) alpha_{k+1} = -sum_{i+j=k} alpha_i |> alpha_j."""
     alpha = alpha_series(x, order) if series is None else series
-    # order k of the right side reads alpha through order k only
-    head = TruncatedSeries(alpha.coeffs[:max(alpha.order, 1)])
-    rhs = _convolve(head, head, triangle)
     for k in range(alpha.order):
-        if (k + 1) * alpha.coeffs[k + 1] != -rhs.coeffs[k]:
+        rhs = _convolution_coeff(alpha.coeffs, alpha.coeffs, k, _tri_word)
+        if _scaled(alpha.coeffs[k + 1].terms, -k - 1).terms != rhs:
             return CheckResult(
                 False, f"flow equation for the deformation series fails at order {k}"
             )
@@ -221,14 +242,15 @@ def right_flow(alpha: TruncatedSeries) -> TruncatedSeries:
     """Solve Y' = Y.alpha, Y(0) = 1, through the order of alpha."""
     polys = [TensorPoly.unit()]
     for k in range(alpha.order):
-        polys.append(Fraction(1, k + 1) * _convolution_coeff(polys, alpha.coeffs, k, concat))
+        acc = _convolution_coeff(polys, alpha.coeffs, k, _concat_word)
+        polys.append(_scaled(acc, Fraction(1, k + 1)))
     return TruncatedSeries(tuple(polys))
 
 
 def _magnus_rhs(omega: TruncatedSeries, alpha: TruncatedSeries) -> TruncatedSeries:
     """sum_n (B~_n / n!) ad^n_omega(alpha), ad the twisted bracket."""
     weights = [bernoulli_modified(n) / factorial(n) for n in range(1, alpha.order + 1)]
-    return _power_sum(alpha, lambda p: _convolve(omega, p, gl_lie_bracket), weights)
+    return _power_sum(alpha, lambda p: _convolve(omega, p, _bracket_word, set()), weights)
 
 
 def magnus_gl(x: MagmaTree, order: int) -> TruncatedSeries:

@@ -35,8 +35,8 @@ from .finite_postgroup import (
     BraidMap,
     braiding,
     check_braid_equation,
+    check_braid_laws,
     check_involutive,
-    check_ybe,
     conjugation_postgroup,
     cyclic_group,
     gl_group,
@@ -135,12 +135,9 @@ def _criterion_finite_corpus(seed: int, level: str):
     for label, pg in entries:
         validate_postgroup(pg.elements, pg.dot, pg.triangle)
         braid = braiding(pg)
-        result = check_braid_equation(braid)
-        if not result.ok:
-            return False, f"{label}: braid equation fails at {result.witness}"
-        result = check_ybe(braid)
-        if not result.ok:
-            return False, f"{label}: Yang-Baxter fails at {result.witness}"
+        for law, result in check_braid_laws(braid).items():
+            if not result.ok:
+                return False, f"{label}: {law} fails at {result.witness}"
         brace = to_skew_brace(pg)
         if skew_brace_to_postgroup(brace) != pg:
             return False, f"{label}: brace roundtrip is not the identity"

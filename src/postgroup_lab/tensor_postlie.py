@@ -122,6 +122,13 @@ class TensorPoly:
         return TensorPoly, (dict(self.terms),)
 
     @classmethod
+    def _of(cls, clean: dict) -> "TensorPoly":
+        """Wrap a dict of nonzero Fractions, as _add_into leaves it, as it is."""
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "terms", clean)
+        return poly
+
+    @classmethod
     def zero(cls) -> "TensorPoly":
         return cls()
 
@@ -190,15 +197,16 @@ def _linear(fn, poly: TensorPoly) -> TensorPoly:
     return TensorPoly(acc)
 
 
-def _bilinear(fn, left: TensorPoly, right: TensorPoly) -> TensorPoly:
-    """Sum of a * b * fn(u, w) over the terms a * u of left and b * w of right."""
-    acc = {}
+def _bilinear(fn, left: TensorPoly, right: TensorPoly, into=None):
+    """Sum of a * b * fn(u, w) over the terms a * u of left and b * w of
+    right; given a dict into, the sum is added into it and into is returned."""
+    acc = {} if into is None else into
     for u, a in left.terms.items():
         for w, b in right.terms.items():
             ab = a * b
             for out, c in fn(u, w).terms.items():
                 _add_into(acc, out, ab * c)
-    return TensorPoly(acc)
+    return TensorPoly(acc) if into is None else acc
 
 
 def concat(left: TensorPoly, right: TensorPoly) -> TensorPoly:

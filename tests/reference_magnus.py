@@ -17,6 +17,12 @@ the unit series and multiplies it out, and the deformation check sums
 its triangle products by hand.  convolve and right_flow are the loops
 the library had before its one convolution helper: each adds the cross
 terms of one order with a TensorPoly sum per term.
+
+convolution_coeff, power_sum and alpha_series are the library's series
+layer before it summed each order into one dict over the word kernels:
+they build one TensorPoly per cross term, per weighted power and per
+antipode, and the bracket guards every pair.  series_triangle is the
+triangle product of two series, which the library does not need.
 """
 
 from __future__ import annotations
@@ -24,10 +30,11 @@ from __future__ import annotations
 from fractions import Fraction
 
 from postgroup_lab.errors import CheckResult, NotPrimitiveError, ShapeError
-from postgroup_lab.magnus import TruncatedSeries, alpha_series, bernoulli_modified
+from postgroup_lab.magnus import TruncatedSeries, bernoulli_modified, exp_dot_series
 from postgroup_lab.tensor_postlie import (
     MagmaTree,
     TensorPoly,
+    antipode_star,
     concat,
     format_poly,
     gl_lie_bracket,
@@ -144,3 +151,44 @@ def magnus_gl(x: MagmaTree, order: int) -> TruncatedSeries:
         rhs = magnus_rhs(TruncatedSeries(tuple(coeffs)), alpha)
         coeffs[k + 1] = Fraction(1, k + 1) * rhs.coeffs[k]
     return TruncatedSeries(tuple(coeffs))
+
+
+def convolution_coeff(left, right, k: int, product) -> TensorPoly:
+    """sum over i + j = k of product(left[i], right[j]), in one dict."""
+    acc = {}
+    for i in range(k + 1):
+        a, b = left[i], right[k - i]
+        if a.terms and b.terms:
+            for word, coeff in product(a, b).terms.items():
+                acc[word] = acc.get(word, 0) + coeff
+    return TensorPoly(acc)
+
+
+def series_product(left: TruncatedSeries, right: TruncatedSeries, product) -> TruncatedSeries:
+    order = min(left.order, right.order)
+    return TruncatedSeries(tuple(
+        convolution_coeff(left.coeffs, right.coeffs, k, product) for k in range(order + 1)
+    ))
+
+
+def series_triangle(left: TruncatedSeries, right: TruncatedSeries) -> TruncatedSeries:
+    return series_product(left, right, triangle)
+
+
+def power_sum(term: TruncatedSeries, step, weights) -> TruncatedSeries:
+    """term + sum_n weights[n-1] step^n(term), up to the first zero power."""
+    total = power = term
+    for weight in weights:
+        power = step(power)
+        if power.is_zero():
+            break
+        if weight:
+            total = total + weight * power
+    return total
+
+
+def alpha_series(x: MagmaTree, order: int) -> TruncatedSeries:
+    """The deformation series S_*(exp^.(tx)) |> x; t^k has degree k+1."""
+    letter = TensorPoly({(x,): 1})
+    exp = exp_dot_series(x, order)
+    return TruncatedSeries(tuple(triangle(antipode_star(c), letter) for c in exp.coeffs))

@@ -248,7 +248,7 @@ class TestTensorVerbs:
 
     def test_magnus_refuses_order_past_cap_before_work(self, capsys, monkeypatch):
         calls = []
-        for name in ("antipode_star", "triangle"):
+        for name in ("_gl_word", "_sstar_word", "_tri_word"):
             monkeypatch.setattr(magnus, name, lambda *args, name=name: calls.append(name))
         assert main(["magnus", "--order", "8"]) == 2
         captured = capsys.readouterr()

@@ -21,8 +21,11 @@ import reference_magnus as ref
 from postgroup_lab.errors import NotPrimitiveError, ShapeError, SizeCapError
 from postgroup_lab.magnus import (
     TruncatedSeries,
+    _bracket_word,
+    _convolve,
     _log_series,
     _magnus_rhs,
+    _power_sum,
     alpha_series,
     bernoulli_modified,
     check_alpha_ode,
@@ -43,11 +46,14 @@ from postgroup_lab.tensor_postlie import (
     Leaf,
     Node,
     TensorPoly,
+    _tri_word,
     concat,
     gl_lie_bracket,
     gl_star,
     is_primitive,
     kmap_tensor,
+    pair_tensor,
+    triangle,
     unshuffle,
     trees_of_degree,
     word_degree,
@@ -287,8 +293,19 @@ class TestMagnusFixedPoint:
         assert report.witness.endswith(f"at order {k}")
 
     def test_non_primitive_perturbation_is_refused_by_the_bracket(self):
-        with pytest.raises(NotPrimitiveError):
-            check_magnus_fixed_point(alpha_series(X, 5), self.perturbed(2, (X, X)))
+        # the texts name the first non-primitive coefficient that the
+        # bracket's per-pair guard meets
+        for k, word, text in [
+            (2, (X, X), "-1/2*(x1>x1) + x1.x1"),
+            (
+                3,
+                (X, T2),
+                "1/12*(x1>(x1>x1)) + 1/4*((x1>x1)>x1) + 11/12*x1.(x1>x1) + 1/12*(x1>x1).x1",
+            ),
+        ]:
+            with pytest.raises(NotPrimitiveError) as info:
+                check_magnus_fixed_point(alpha_series(X, 5), self.perturbed(k, word))
+            assert str(info.value) == f"{text} is not primitive for the unshuffle coproduct"
 
 
 class TestSeriesProducts:
@@ -405,3 +422,105 @@ class TestConvolutionAgainstReference:
     def test_right_flow_of_the_deformation_series(self, order):
         alpha = alpha_series(X, order)
         assert right_flow(alpha) == ref.right_flow(alpha)
+
+
+# ------------------------------------------ one dict per order, checked
+
+SERIES_PRODUCTS = {
+    "concat": (series_concat, concat),
+    "star": (series_star, gl_star),
+    "triangle": (lambda a, b: _convolve(a, b, _tri_word), triangle),
+    "bracket": (lambda a, b: _convolve(a, b, _bracket_word, set()), gl_lie_bracket),
+}
+
+
+def outcome(fn, *args):
+    """fn(*args), or the type and text of the NotPrimitiveError it raised."""
+    try:
+        return fn(*args)
+    except NotPrimitiveError as error:
+        return type(error), str(error)
+
+
+@st.composite
+def mixed_series(draw):
+    """A graded series with a zero, letter, unit or two-letter constant,
+    over all words or over single trees only, so that it is primitive or
+    not, and two refused series are named apart."""
+    constants = (TensorPoly.zero(), XP, TensorPoly.unit(), TensorPoly.from_word((X, Leaf(1))))
+    constant = draw(st.sampled_from(constants))
+    return draw(graded_series(constant, draw(st.sampled_from((WORDS, TREES)))))
+
+
+class TestOneDictPerOrderAgainstReference:
+    """The series layer against the per-term loops it replaced: one
+    TensorPoly per cross term, per weighted power and per antipode, and
+    a primitivity guard on every pair of the bracket
+    (tests/reference_magnus.py)."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(left=mixed_series(), right=mixed_series())
+    @pytest.mark.parametrize("name", SERIES_PRODUCTS)
+    def test_series_products(self, left, right, name):
+        library, product = SERIES_PRODUCTS[name]
+        assert outcome(library, left, right) == outcome(ref.series_product, left, right, product)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        term=graded_series(TensorPoly.zero()),
+        z=graded_series(TensorPoly.zero()),
+        weights=st.lists(st.fractions(-2, 2, max_denominator=3), max_size=5),
+    )
+    def test_power_sum(self, term, z, weights):
+        got = _power_sum(term, lambda p: series_star(p, z), weights)
+        assert got == ref.power_sum(term, lambda p: ref.series_product(p, z, gl_star), weights)
+
+    @pytest.mark.parametrize("order", range(8))
+    def test_alpha_series(self, order):
+        assert alpha_series(X, order) == ref.alpha_series(X, order)
+
+
+# ------------------------------ grouplike series form a post-group
+
+X1, X2 = Leaf(0), Leaf(1)
+
+
+def is_grouplike(series):
+    """unshuffle(S) = S (x) S, order by order."""
+    square = ref.series_product(series, series, pair_tensor)
+    return all(unshuffle(c) == d for c, d in zip(series.coeffs, square.coeffs))
+
+
+def post_group_laws(X, Y, Z):
+    """The laws of the post-group of grouplikes of a post-Hopf algebra
+    (Li, Sheng and Tang, 2023), with . concat, * star, |> triangle."""
+    tri = ref.series_triangle
+    return {
+        "X |> (Y.Z) = (X |> Y).(X |> Z)": (
+            tri(X, series_concat(Y, Z)) == series_concat(tri(X, Y), tri(X, Z))
+        ),
+        "(X*Y) |> Z = X |> (Y |> Z)": tri(series_star(X, Y), Z) == tri(X, tri(Y, Z)),
+        "X*Y = X.(X |> Y)": series_star(X, Y) == series_concat(X, tri(X, Y)),
+        "X |> Y is grouplike": is_grouplike(tri(X, Y)),
+    }
+
+
+class TestGrouplikeSeriesFormAPostGroup:
+    """X, Y and Z are exp^.(t x) of the primitives x1, x2 and x1 |> x2."""
+
+    @staticmethod
+    def series(order):
+        return tuple(exp_dot_series(x, order) for x in (X1, X2, Node(X1, X2)))
+
+    @pytest.mark.parametrize("order", [3, 4, 5])
+    def test_laws_hold(self, order):
+        laws = post_group_laws(*self.series(order))
+        assert [name for name, ok in laws.items() if not ok] == []
+
+    @pytest.mark.parametrize("order", [3, 4, 5])
+    def test_wrong_quadratic_coefficient_breaks_the_star_law(self, order):
+        X, Y, Z = self.series(order)
+        broken = list(X.coeffs)
+        broken[2] = TensorPoly.from_word((X1, X1))
+        laws = post_group_laws(TruncatedSeries(tuple(broken)), Y, Z)
+        assert not laws["X*Y = X.(X |> Y)"]
