@@ -11,6 +11,9 @@ Every check in this module is exhaustive and reports a witness in
 element names.  Tables of more than TABLE_SIZE_CAP = 64 elements are
 refused by check_size, before any table of that size is built.
 
+A record carries its proofs: GroupTable the group axioms, SkewBrace the
+brace law, PostGroupTable the triangle laws and the star group of gl_group.
+
 The set-theoretic Yang-Baxter equation for R = flip after sigma is the
 braid relation of sigma read on reversed triples, so check_braid_laws
 gets both results from one pass of the kernel, _braid_failure, at the
@@ -31,6 +34,7 @@ from .errors import (
     CheckResult,
     GroupAxiomError,
     PostGroupLawError,
+    SchemaError,
     SizeCapError,
     SkewBraceLawError,
 )
@@ -52,6 +56,14 @@ def check_size(n: int, what: str) -> None:
         )
 
 
+def _given(record, *derived):
+    """record, if its last fields are the derived ones its caller passed."""
+    if derived != record._values(record)[-len(derived):]:
+        fields = ", ".join(record._fields[-len(derived):])
+        raise SchemaError(f"{type(record).__name__}: {fields} must be derived from its tables")
+    return record
+
+
 class GroupTable(Record):
     """A finite group: multiplication table plus unit and inverses."""
 
@@ -60,6 +72,9 @@ class GroupTable(Record):
     table: tuple[tuple[int, ...], ...]
     unit: int
     inv: tuple[int, ...]
+
+    def __new__(cls, elements, table, unit, inv):
+        return _given(validate_group(elements, table), unit, tuple(inv))
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -113,18 +128,21 @@ def validate_group(
                 f"{what} element {names[a]} has no inverse", witness=(a,)
             )
 
-    return GroupTable(names, rows, unit, tuple(inv))
+    return GroupTable._of(names, rows, unit, tuple(inv))
 
 
 class PostGroupTable(Record):
     """A validated finite post-group: dot group plus triangle action."""
 
-    __slots__ = ("elements", "dot", "triangle", "unit", "inv")
+    __slots__ = ("elements", "dot", "triangle", "unit", "inv", "_star")
     elements: tuple[str, ...]
     dot: tuple[tuple[int, ...], ...]
     triangle: tuple[tuple[int, ...], ...]
     unit: int
     inv: tuple[int, ...]
+
+    def __new__(cls, elements, dot, triangle, unit, inv):
+        return _given(validate_postgroup(elements, dot, triangle), unit, tuple(inv))
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -137,7 +155,11 @@ def validate_postgroup(
 ) -> PostGroupTable:
     """Check the dot group, the automorphism property of every row of
     the triangle table, and the weighted associativity law."""
-    group = validate_group(elements, dot, what="dot product")
+    return _with_triangle(validate_group(elements, dot, what="dot product"), triangle)
+
+
+def _with_triangle(group: GroupTable, triangle) -> PostGroupTable:
+    """validate_postgroup's triangle laws over an already validated group."""
     names = group.elements
     n = len(names)
     rows = check_rows(triangle, names, n, n, "triangle")
@@ -177,7 +199,7 @@ def validate_postgroup(
                         witness=(a, b, c),
                     )
 
-    return PostGroupTable(names, group.table, rows, group.unit, group.inv)
+    return PostGroupTable._of(names, group.table, rows, group.unit, group.inv, None)
 
 
 def gl_star_table(pg: PostGroupTable) -> tuple[tuple[int, ...], ...]:
@@ -197,14 +219,15 @@ def gl_star_inverse(pg: PostGroupTable) -> tuple[int, ...]:
 
 
 def gl_group(pg: PostGroupTable) -> GroupTable:
-    """The * product as a validated group with the same unit."""
-    star = gl_star_table(pg)
-    group = validate_group(pg.elements, star, what="star product")
-    if group.unit != pg.unit:
-        raise PostGroupLawError("star product changed the unit")
-    if group.inv != gl_star_inverse(pg):
-        raise PostGroupLawError("star inverses disagree with L_a^{-1}(a^{.-1})")
-    return group
+    """The * product as a validated group with the same unit, kept in pg."""
+    if pg._star is None:
+        group = validate_group(pg.elements, gl_star_table(pg), what="star product")
+        if group.unit != pg.unit:
+            raise PostGroupLawError("star product changed the unit")
+        if group.inv != gl_star_inverse(pg):
+            raise PostGroupLawError("star inverses disagree with L_a^{-1}(a^{.-1})")
+        object.__setattr__(pg, "_star", group)
+    return pg._star
 
 
 def opposite(pg: PostGroupTable) -> PostGroupTable:
@@ -238,22 +261,17 @@ class BraidMap(Record):
     left: tuple[tuple[int, ...], ...]
     right: tuple[tuple[int, ...], ...]
 
-    def __init__(self, elements, left, right) -> None:
+    def __new__(cls, elements, left, right):
         # the braid kernel reads flat index lists, where an out-of-range
         # entry would silently index another row
         names = name_list(elements, "braiding elements")
         n = len(names)
         check_size(n, "braiding")
-        set_elements, set_left, set_right = self._setters
-        set_elements(self, names)
-        set_left(self, check_rows(left, names, n, n, "braiding left"))
-        set_right(self, check_rows(right, names, n, n, "braiding right"))
+        left = check_rows(left, names, n, n, "braiding left")
+        return cls._of(names, left, check_rows(right, names, n, n, "braiding right"))
 
     def __len__(self) -> int:
         return len(self.elements)
-
-    def sigma(self, g: int, h: int) -> tuple[int, int]:
-        return (self.left[g][h], self.right[g][h])
 
 
 def braiding(pg: PostGroupTable) -> BraidMap:
@@ -263,15 +281,14 @@ def braiding(pg: PostGroupTable) -> BraidMap:
     the * group before being returned.
     """
     n = len(pg)
-    star = gl_star_table(pg)
-    star_inv = gl_star_inverse(pg)
-    left = pg.triangle
+    group = gl_group(pg)
+    star, left = group.table, pg.triangle
     right = tuple(
-        tuple(star[star_inv[left[g][h]]][star[g][h]] for h in range(n))
+        tuple(star[group.inv[left[g][h]]][star[g][h]] for h in range(n))
         for g in range(n)
     )
     braid = BraidMap(pg.elements, left, right)
-    verify_braided_group(gl_group(pg), braid)
+    verify_braided_group(group, braid)
     return braid
 
 
@@ -415,11 +432,12 @@ def _triple_failure(law: str, names: tuple[str, ...], *triples) -> CheckResult:
 
 def check_involutive(braid: BraidMap) -> CheckResult:
     """sigma after sigma is the identity on pairs."""
-    names = braid.elements
+    names, left, right = braid.elements, braid.left, braid.right
     n = len(names)
     for g in range(n):
         for h in range(n):
-            if braid.sigma(*braid.sigma(g, h)) != (g, h):
+            a, b = left[g][h], right[g][h]
+            if (left[a][b], right[a][b]) != (g, h):
                 return CheckResult(
                     False,
                     f"sigma^2 moves the pair ({names[g]}, {names[h]})",
@@ -451,6 +469,9 @@ class SkewBrace(Record):
     star: tuple[tuple[int, ...], ...]
     unit: int
 
+    def __new__(cls, elements, dot, star, unit):
+        return _given(validate_skew_brace(elements, dot, star), unit)
+
     def __len__(self) -> int:
         return len(self.elements)
 
@@ -465,13 +486,17 @@ def validate_skew_brace(
     dot_group = validate_group(elements, dot, what="dot product")
     star_group = validate_group(elements, star, what="star product")
     names = dot_group.elements
-    n = len(names)
     if dot_group.unit != star_group.unit:
         raise SkewBraceLawError(
             f"the two products have different units: "
             f"{names[dot_group.unit]} and {names[star_group.unit]}"
         )
-    d, s, inv = dot_group.table, star_group.table, dot_group.inv
+    return _brace(names, dot_group.table, star_group.table, dot_group.unit, dot_group.inv)
+
+
+def _brace(names, d, s, unit, inv) -> SkewBrace:
+    """validate_skew_brace's brace law over validated groups with one unit."""
+    n = len(names)
     for g in range(n):
         for h in range(n):
             for k in range(n):
@@ -484,30 +509,29 @@ def validate_skew_brace(
                         f"(g*h).g^(-1).(g*k) = {names[rhs]}",
                         witness=(g, h, k),
                     )
-    return SkewBrace(names, dot_group.table, star_group.table, dot_group.unit)
+    return SkewBrace._of(names, d, s, unit)
 
 
 def to_skew_brace(pg: PostGroupTable) -> SkewBrace:
     """Forget the action, keep the two products."""
-    return validate_skew_brace(pg.elements, pg.dot, gl_star_table(pg))
+    return _brace(pg.elements, pg.dot, gl_group(pg).table, pg.unit, pg.inv)
 
 
 def skew_brace_to_postgroup(brace: SkewBrace) -> PostGroupTable:
     """Recover the action as g |> h := g^{.-1} . (g * h)."""
-    dot_group = validate_group(brace.elements, brace.dot, what="dot product")
     n = len(brace)
+    inv = tuple(row.index(brace.unit) for row in brace.dot)
     triangle = tuple(
-        tuple(brace.dot[dot_group.inv[g]][brace.star[g][h]] for h in range(n))
+        tuple(brace.dot[inv[g]][brace.star[g][h]] for h in range(n))
         for g in range(n)
     )
-    return validate_postgroup(brace.elements, brace.dot, triangle)
+    return _with_triangle(GroupTable._of(brace.elements, brace.dot, brace.unit, inv), triangle)
 
 
 def trivial_postgroup(group: GroupTable) -> PostGroupTable:
     """g |> h = h.  The * product is the group itself."""
     n = len(group)
-    identity_rows = tuple(tuple(range(n)) for _ in range(n))
-    return validate_postgroup(group.elements, group.table, identity_rows)
+    return _with_triangle(group, tuple(tuple(range(n)) for _ in range(n)))
 
 
 def conjugation_postgroup(group: GroupTable) -> PostGroupTable:

@@ -9,9 +9,9 @@ assignment, and pickle and copy through the constructor.  It generates
 no code: each subclass gets _values, an attrgetter of its fields, and
 _setters, the __set__ of each of its slots.  A slot named with a
 leading underscore is private; it comes after the fields and stays out
-of equality, hash and repr.  A subclass that validates, has a default
-or has a private slot writes its own __init__ and stores each slot by
-its setter.
+of equality, hash and repr.  A subclass that validates writes __new__
+and builds through _of, which sets the slots it is given; one with a
+default or a private slot writes __init__ and stores each by its setter.
 
 An Interned subclass keeps one object per value.  Its __new__ looks the
 value up in a module-level table, which is never cleared, and calls
@@ -28,6 +28,8 @@ class Record:
     __slots__ = ()
 
     def __init_subclass__(cls) -> None:
+        if "__new__" in cls.__dict__:  # __new__ has stored the fields
+            cls.__init__ = object.__init__
         slots = cls.__dict__["__slots__"]
         fields = tuple(name for name in slots if not name.startswith("_"))
         if not fields:  # Interned, a base with no fields of its own
@@ -50,6 +52,13 @@ class Record:
             )
         for set_field, value in zip(setters, args):
             set_field(self, value)
+
+    @classmethod
+    def _of(cls, *values):
+        self = object.__new__(cls)
+        for set_slot, value in zip(cls._setters, values):
+            set_slot(self, value)
+        return self
 
     def __eq__(self, other):
         if self is other:
@@ -84,15 +93,11 @@ class Interned(Record):
 
     __slots__ = ("_hash",)
 
-    # __new__ has stored the fields; equal values are one object
-    __init__ = object.__init__
-    __eq__ = object.__eq__
+    __eq__ = object.__eq__  # equal values are one object
 
     @classmethod
     def _build(cls, values: tuple):
-        self = object.__new__(cls)
-        for set_field, value in zip(cls._setters, values):
-            set_field(self, value)
+        self = cls._of(*values)
         object.__setattr__(self, "_hash", hash(values))
         return self
 

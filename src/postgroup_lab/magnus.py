@@ -64,10 +64,6 @@ class TruncatedSeries(Record):
         return TensorPoly.zero()
 
     @classmethod
-    def zero(cls, order: int) -> "TruncatedSeries":
-        return cls(tuple(TensorPoly.zero() for _ in range(order + 1)))
-
-    @classmethod
     def unit(cls, order: int) -> "TruncatedSeries":
         polys = [TensorPoly.unit()]
         polys += [TensorPoly.zero() for _ in range(order)]
@@ -84,9 +80,6 @@ class TruncatedSeries(Record):
         return TruncatedSeries(
             tuple(self.coeffs[k] - other.coeffs[k] for k in range(order + 1))
         )
-
-    def __rmul__(self, scalar):
-        return TruncatedSeries(tuple(scalar * c for c in self.coeffs))
 
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.coeffs)

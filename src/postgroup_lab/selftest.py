@@ -48,7 +48,6 @@ from .finite_postgroup import (
     symmetric_group,
     to_skew_brace,
     trivial_postgroup,
-    validate_postgroup,
 )
 from .action_postgroup import build_gauge_postgroup, validate_action
 from .tensor_postlie import Leaf, Node, TensorPoly, kmap_tensor
@@ -133,7 +132,6 @@ def _criterion_jk_roundtrips(seed: int, level: str):
 def _criterion_finite_corpus(seed: int, level: str):
     entries = acceptance_corpus()
     for label, pg in entries:
-        validate_postgroup(pg.elements, pg.dot, pg.triangle)
         braid = braiding(pg)
         for law, result in check_braid_laws(braid).items():
             if not result.ok:

@@ -9,7 +9,9 @@ right side, and uses only public library names.
 
 The concatenation bracket and the term-wise derivative of a series are
 kept here too: tests use them as a second path to the twisted bracket
-and to the flow equations, and the library itself needs neither.
+and to the flow equations, and the library itself needs neither.  So
+are the zero series and a scalar times a series, which only these
+loops use.
 
 exp_star_series, log_series, magnus_rhs and check_alpha_ode are the
 loops the library had before its one power-sum kernel: each starts from
@@ -54,9 +56,17 @@ def lie_bracket(left: TensorPoly, right: TensorPoly) -> TensorPoly:
     return concat(left, right) - concat(right, left)
 
 
+def zero_series(order: int) -> TruncatedSeries:
+    return TruncatedSeries(tuple(TensorPoly.zero() for _ in range(order + 1)))
+
+
+def scaled(scalar, series: TruncatedSeries) -> TruncatedSeries:
+    return TruncatedSeries(tuple(scalar * c for c in series.coeffs))
+
+
 def derivative(series: TruncatedSeries) -> TruncatedSeries:
     if series.order == 0:
-        return TruncatedSeries.zero(0)
+        return zero_series(0)
     return TruncatedSeries(
         tuple((k + 1) * series.coeffs[k + 1] for k in range(series.order))
     )
@@ -86,7 +96,7 @@ def exp_star_series(z: TruncatedSeries) -> TruncatedSeries:
     for m in range(1, order + 1):
         power = convolve(power, z, gl_star)
         factorial *= m
-        total = total + Fraction(1, factorial) * power
+        total = total + scaled(Fraction(1, factorial), power)
     return total
 
 
@@ -95,12 +105,12 @@ def log_series(y: TruncatedSeries, product) -> TruncatedSeries:
     if y.coeffs[0] != TensorPoly.unit():
         raise ShapeError("log needs the constant coefficient to be the unit")
     shifted = y - TruncatedSeries.unit(y.order)
-    total = TruncatedSeries.zero(y.order)
+    total = zero_series(y.order)
     power = TruncatedSeries.unit(y.order)
     for m in range(1, y.order + 1):
         power = convolve(power, shifted, product)
         sign = Fraction(1, m) if m % 2 else Fraction(-1, m)
-        total = total + sign * power
+        total = total + scaled(sign, power)
     return total
 
 
@@ -129,14 +139,14 @@ def right_flow(alpha: TruncatedSeries) -> TruncatedSeries:
 
 
 def magnus_rhs(omega: TruncatedSeries, alpha: TruncatedSeries) -> TruncatedSeries:
-    total = TruncatedSeries.zero(alpha.order)
+    total = zero_series(alpha.order)
     iterated = alpha
     factorial = 1
     for n in range(alpha.order + 1):
         factorial *= max(n, 1)
         weight = bernoulli_modified(n)
         if weight:
-            total = total + weight * Fraction(1, factorial) * iterated
+            total = total + scaled(weight * Fraction(1, factorial), iterated)
         iterated = convolve(omega, iterated, gl_lie_bracket)
         if iterated.is_zero():
             break
@@ -183,7 +193,7 @@ def power_sum(term: TruncatedSeries, step, weights) -> TruncatedSeries:
         if power.is_zero():
             break
         if weight:
-            total = total + weight * power
+            total = total + scaled(weight, power)
     return total
 
 

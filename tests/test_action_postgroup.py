@@ -15,8 +15,13 @@ instead, where the four maps form the Klein pre-group.
 
 from __future__ import annotations
 
+import random
+from itertools import permutations
+
 import pytest
 import reference_finite as ref
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from postgroup_lab.errors import (
     ActionLawError,
@@ -206,6 +211,61 @@ class TestGaugePostGroup:
         fixing = validate_action(Z2, points, tuple((m, m) for m in range(20_000)))
         with pytest.raises(SizeCapError, match="more than 2\\^64 elements"):
             build_gauge_postgroup(fixing)
+
+
+# S3 acting on its three points, 6^3 = 216 gauge maps: past the table
+# cap, so the post-group laws are sampled through the pointwise formulas.
+# symmetric_group lists permutations in this order and composes right to
+# left, so m.g = g^{-1}(m) is a right action and m.g = g(m) a left one.
+S3 = symmetric_group(3)
+S3_PERMS = list(permutations(range(3)))
+S3_POINTS = ("0", "1", "2")
+S3_RIGHT = validate_action(S3, S3_POINTS, [[p.index(m) for p in S3_PERMS] for m in range(3)])
+S3_LEFT_AS_RIGHT = RightAction(
+    S3, S3_POINTS, tuple(tuple(p[m] for p in S3_PERMS) for m in range(3))
+)
+
+
+def gauge_laws(f, g, h):
+    """The post-group laws on one triple of gauge maps, by name."""
+    star, act, dot = ref.gauge_gl, gauge_act, gauge_dot
+    return {
+        "automorphism": act(f, dot(g, h)) == dot(act(f, g), act(f, h)),
+        "weighted associativity": act(star(f, g), h) == act(f, act(g, h)),
+        "star associativity": star(star(f, g), h) == star(f, star(g, h)),
+    }
+
+
+def s3_maps(action):
+    return st.tuples(*[st.integers(0, 5)] * 3).map(lambda values: GaugeMap(action, values))
+
+
+class TestGaugePostGroupPastTheCap:
+    def test_the_table_is_refused(self):
+        assert len(S3) ** len(S3_POINTS) == 216
+        with pytest.raises(SizeCapError, match="on 216 elements"):
+            build_gauge_postgroup(S3_RIGHT)
+
+    @settings(max_examples=300, deadline=None)
+    @given(f=s3_maps(S3_RIGHT), g=s3_maps(S3_RIGHT), h=s3_maps(S3_RIGHT))
+    def test_laws_hold_on_sampled_triples(self, f, g, h):
+        assert all(gauge_laws(f, g, h).values())
+
+    def test_a_left_action_breaks_weighted_associativity(self):
+        # negative control: validation refuses the left action, and passed
+        # off as a right one it breaks weighted associativity
+        with pytest.raises(ActionLawError, match="composition fails"):
+            validate_action(S3, S3_POINTS, S3_LEFT_AS_RIGHT.table)
+        rng = random.Random(0)
+        triples = [
+            [GaugeMap(S3_LEFT_AS_RIGHT, (rng.randrange(6), rng.randrange(6), rng.randrange(6)))
+             for _ in range(3)]
+            for _ in range(100)
+        ]
+        failures = [t for t in triples if not gauge_laws(*t)["weighted associativity"]]
+        assert len(failures) > 50
+        # the pointwise rows are still automorphisms of the pointwise product
+        assert all(gauge_laws(*t)["automorphism"] for t in triples)
 
 
 def _element_order(group, a):

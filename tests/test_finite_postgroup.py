@@ -24,6 +24,7 @@ from postgroup_lab.errors import (
     CheckResult,
     GroupAxiomError,
     PostGroupLawError,
+    PostgroupLabError,
     ShapeError,
     SizeCapError,
     SkewBraceLawError,
@@ -34,6 +35,7 @@ from postgroup_lab.finite_postgroup import (
     BraidMap,
     braiding,
     check_braid_equation,
+    check_braid_laws,
     check_involutive,
     check_ybe,
     conjugation_postgroup,
@@ -203,19 +205,21 @@ class TestBraiding:
         braid = braiding(trivial_postgroup(Z3))
         for g in range(3):
             for h in range(3):
-                assert braid.sigma(g, h) == (h, g)
+                assert (braid.left[g][h], braid.right[g][h]) == (h, g)
 
     def test_trivial_braiding_is_conjugation_by_the_second(self):
         braid = braiding(trivial_postgroup(S3))
         for g in range(6):
             for h in range(6):
                 hi = S3.inv[h]
-                assert braid.sigma(g, h) == (h, S3.table[S3.table[hi][g]][h])
+                assert (braid.left[g][h], braid.right[g][h]) == (
+                    h, S3.table[S3.table[hi][g]][h]
+                )
 
     def test_conjugation_braiding_frozen_value(self):
         braid = braiding(conjugation_postgroup(S3))
         g, h = idx(S3, "(01)"), idx(S3, "(012)")
-        a, b = braid.sigma(g, h)
+        a, b = braid.left[g][h], braid.right[g][h]
         assert (S3.elements[a], S3.elements[b]) == ("(021)", "(01)")
 
     def test_braid_equation_and_ybe_on_corpus(self):
@@ -518,6 +522,99 @@ class TestSkewBrace:
         ]
         with pytest.raises(SkewBraceLawError, match="unit"):
             validate_skew_brace(Z3.elements, Z3.table, star)
+
+
+def outcome(run):
+    """run's result, or the type, message and witness of its refusal."""
+    try:
+        return run()
+    except PostgroupLabError as exc:
+        return type(exc), str(exc), getattr(exc, "witness", None)
+
+
+def relabel(tables, perm):
+    """Each table with element i renamed perm[i]."""
+    n = len(perm)
+    out = []
+    for table in tables:
+        rows = [[0] * n for _ in range(n)]
+        for a, b in itertools.product(range(n), repeat=2):
+            rows[perm[a]][perm[b]] = perm[table[a][b]]
+        out.append(rows)
+    return out
+
+
+@st.composite
+def random_tables(draw, faces):
+    """The tables of a relabeled corpus post-group read through faces,
+    with up to two entries changed."""
+    _, pg = draw(st.sampled_from(acceptance_corpus()))
+    n = len(pg)
+    perm = draw(st.permutations(range(n)))
+    names = [None] * n
+    for i, name in enumerate(pg.elements):
+        names[perm[i]] = name
+    tables = relabel(faces(pg), perm)
+    for _ in range(draw(st.integers(0, 2))):
+        table = draw(st.sampled_from(tables))
+        g, h, x = (draw(st.integers(0, n - 1)) for _ in range(3))
+        table[g][h] = x
+    return names, tables
+
+
+class TestTrustedConversionsAgainstReference:
+    """The conversions trust the records they are handed; the versions
+    that re-validate everything give the same result or the same
+    refusal, with the same message and witness."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=random_tables(lambda pg: (pg.dot, pg.triangle)))
+    def test_postgroup_to_brace_and_back(self, data):
+        names, (dot, tri) = data
+
+        def convert(to_brace, from_brace):
+            brace = to_brace(validate_postgroup(names, dot, tri))
+            return brace, from_brace(brace)
+
+        assert outcome(lambda: convert(to_skew_brace, skew_brace_to_postgroup)) == outcome(
+            lambda: convert(ref.to_skew_brace, ref.skew_brace_to_postgroup)
+        )
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=random_tables(lambda pg: (pg.dot, gl_star_table(pg))))
+    def test_brace_to_postgroup(self, data):
+        names, (dot, star) = data
+        assert outcome(lambda: skew_brace_to_postgroup(validate_skew_brace(names, dot, star))) == (
+            outcome(lambda: ref.skew_brace_to_postgroup(validate_skew_brace(names, dot, star)))
+        )
+
+
+def test_each_law_runs_once_per_record(monkeypatch):
+    calls = {}
+    kernel, validate = finite_postgroup._braid_failure, finite_postgroup.validate_group
+
+    def counted_kernel(braid):
+        calls["braid kernel"] = calls.get("braid kernel", 0) + 1
+        return kernel(braid)
+
+    def counted_validate(*args, what="group"):
+        calls[what] = calls.get(what, 0) + 1
+        return validate(*args, what=what)
+
+    monkeypatch.setattr(finite_postgroup, "_braid_failure", counted_kernel)
+    monkeypatch.setattr(finite_postgroup, "validate_group", counted_validate)
+    for _, pg in acceptance_corpus():
+        pg = validate_postgroup(pg.elements, pg.dot, pg.triangle)
+        calls.clear()
+        # the work of check-postgroup: both braid laws from one kernel pass
+        braid = braiding(pg)
+        check_braid_laws(braid)
+        assert gl_group(pg) is gl_group(pg)
+        to_skew_brace(pg)
+        assert calls == {"braid kernel": 1, "star product": 1}
+        # the rebuilt post-group's dot table is new, so it is validated
+        assert postgroup_from_braided(gl_group(pg), braid) == pg
+        assert calls == {"braid kernel": 1, "star product": 1, "dot product": 1}
 
 
 class TestJson:

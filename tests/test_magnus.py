@@ -96,7 +96,7 @@ class TestSeriesType:
 
     def test_scalar_multiplication(self):
         s = exp_dot_series(X, 3)
-        assert (2 * s - s).coeffs == s.coeffs
+        assert (ref.scaled(2, s) - s).coeffs == s.coeffs
 
 
 class TestExpDot:
@@ -137,7 +137,7 @@ class TestExpStarAndLog:
             exp_star_series(constant_series(XP, 3))
 
     def test_twisted_exp_of_zero(self):
-        got = exp_star_series(TruncatedSeries.zero(3))
+        got = exp_star_series(ref.zero_series(3))
         assert got.coeffs == TruncatedSeries.unit(3).coeffs
 
     def test_resizing_pads_with_zeros(self):

@@ -5,8 +5,13 @@ interned.Record.  Its twin, built here with dataclasses.make_dataclass
 from the old field list, is the oracle.  On instances built from data/
 and the selftest corpus, equality, hash and repr must be the twin's,
 pickle, deepcopy, copy and construction by keyword must give an equal
-value, and assignment must raise AttributeError.  One repr changed on purpose: MagmaTable's now shows
-row_inv, which its dataclass hid, so its twin shows row_inv too.
+value, and assignment must raise AttributeError.  One repr changed on
+purpose: MagmaTable's now shows row_inv, which its dataclass hid, so its
+twin shows row_inv too.
+
+GroupTable, PostGroupTable and SkewBrace validate in their constructors,
+unlike their twins: a bad table, or a unit or inverses other than its
+own, is refused there, and a pickle or copy goes through that check.
 """
 
 from __future__ import annotations
@@ -27,7 +32,14 @@ from postgroup_lab.action_postgroup import (
     load_action,
     validate_action,
 )
-from postgroup_lab.errors import CheckResult
+from postgroup_lab.errors import (
+    AutomorphismError,
+    CheckResult,
+    GroupAxiomError,
+    PostGroupLawError,
+    SchemaError,
+    SkewBraceLawError,
+)
 from postgroup_lab.finite_postgroup import (
     BraidMap,
     GroupTable,
@@ -116,7 +128,7 @@ def corpus():
         RightAction: actions,
         GaugeMap: [f for a in actions for f in enumerate_gauge_maps(a)],
         TruncatedSeries: [alpha_series(x, 2), alpha_series(x, 2), exp_dot_series(x, 2)]
-        + [TruncatedSeries.unit(1), TruncatedSeries.zero(1)],
+        + [TruncatedSeries.unit(1), TruncatedSeries((TensorPoly.zero(), TensorPoly.zero()))],
         CriterionResult: [
             CriterionResult("free-postgroup-laws", True, "2000 random triples", 0.25),
             CriterionResult("free-postgroup-laws", True, "2000 random triples", 0.25),
@@ -207,3 +219,99 @@ def test_wrong_arguments_raise_type_error(args, kwargs):
         TWINS[GroupTable](*args, **kwargs)
     with pytest.raises(TypeError):
         GroupTable(*args, **kwargs)
+
+
+S3 = symmetric_group(3)
+Z4 = cyclic_group(4)
+CONJ_S3 = dict(acceptance_corpus())["conjugation S3"]
+SWAP23 = (0, 1, 3, 2)
+
+
+def swapped(table, a, b, c):
+    """table with entries (a, b) and (a, c) exchanged."""
+    rows = [list(r) for r in table]
+    rows[a][b], rows[a][c] = rows[a][c], rows[a][b]
+    return rows
+
+
+# each record type with a bad table or derived field: the refusal and its message
+BAD_RECORDS = {
+    "group not associative": (
+        lambda: GroupTable(S3.elements, swapped(S3.table, 1, 2, 3), S3.unit, S3.inv),
+        GroupAxiomError, "^group is not associative",
+    ),
+    "group with another unit": (
+        lambda: GroupTable(S3.elements, S3.table, 1, S3.inv),
+        SchemaError, "^GroupTable: unit, inv must be derived from its tables$",
+    ),
+    "group with other inverses": (
+        lambda: GroupTable(S3.elements, S3.table, S3.unit, tuple(range(6))),
+        SchemaError, "^GroupTable: unit, inv must be derived from its tables$",
+    ),
+    "post-group dot not a group": (
+        lambda: PostGroupTable(
+            CONJ_S3.elements, swapped(CONJ_S3.dot, 1, 2, 3), CONJ_S3.triangle,
+            CONJ_S3.unit, CONJ_S3.inv,
+        ),
+        GroupAxiomError, "^dot product is not associative",
+    ),
+    "post-group row not an automorphism": (
+        lambda: PostGroupTable(
+            CONJ_S3.elements, CONJ_S3.dot, swapped(CONJ_S3.triangle, 1, 3, 4),
+            CONJ_S3.unit, CONJ_S3.inv,
+        ),
+        AutomorphismError, r"^\(12\) \|> - does not respect the dot product",
+    ),
+    "post-group not weighted associative": (
+        lambda: PostGroupTable(
+            Z4.elements, Z4.table, ((0, 1, 2, 3), (0, 3, 2, 1), (0, 3, 2, 1), (0, 1, 2, 3)),
+            Z4.unit, Z4.inv,
+        ),
+        PostGroupLawError, "^weighted associativity fails",
+    ),
+    "post-group with another unit": (
+        lambda: PostGroupTable(CONJ_S3.elements, CONJ_S3.dot, CONJ_S3.triangle, 2, CONJ_S3.inv),
+        SchemaError, "^PostGroupTable: unit, inv must be derived from its tables$",
+    ),
+    "skew brace star not a group": (
+        lambda: SkewBrace(Z4.elements, Z4.table, swapped(Z4.table, 1, 1, 2), Z4.unit),
+        GroupAxiomError, "^star product",
+    ),
+    "skew brace law": (
+        lambda: SkewBrace(
+            Z4.elements, Z4.table,
+            [[SWAP23[Z4.table[SWAP23[a]][SWAP23[b]]] for b in range(4)] for a in range(4)],
+            Z4.unit,
+        ),
+        SkewBraceLawError, r"^skew brace law fails at \(1, 1, 1\)",
+    ),
+    "skew brace with another unit": (
+        lambda: SkewBrace(Z4.elements, Z4.table, Z4.table, 3),
+        SchemaError, "^SkewBrace: unit must be derived from its tables$",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_RECORDS))
+def test_bad_table_is_refused_at_construction(case):
+    build, error, message = BAD_RECORDS[case]
+    with pytest.raises(error, match=message):
+        build()
+
+
+def test_copies_keep_the_value_and_prove_again():
+    # the star group a post-group keeps stays out of its value; a copy
+    # is validated anew and finds its star group anew
+    pg = validate_postgroup(CONJ_S3.elements, CONJ_S3.dot, CONJ_S3.triangle)
+    braid = braiding(pg)
+    laws = check_braid_equation(braid), check_ybe(braid)
+    star = gl_group(pg)
+    brace = to_skew_brace(pg)
+    for value in (pg, braid, brace):
+        for again in copies(value):
+            assert again == value and hash(again) == hash(value)
+            assert repr(again) == repr(value)
+    for again in copies(pg):
+        assert gl_group(again) == star and gl_group(again) is not star
+    for again in copies(braid):
+        assert (check_braid_equation(again), check_ybe(again)) == laws
