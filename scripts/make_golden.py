@@ -63,6 +63,12 @@ def _inputs() -> dict[str, object]:
         "z2-fix7-action.json": _z2_action(7),
         "z3-bad-triangle.json": z3 | {"triangle": [["1", "0", "2"], *z3["triangle"][1:]]},
         "z3-bad-dot.json": z3 | {"dot": [z3["dot"][0], ["1", "0", "2"], z3["dot"][2]]},
+        # rows id, negation, id: automorphisms, but not weighted associative
+        "z3-bad-weights.json": z3 | {"triangle": [["0", "1", "2"], ["0", "2", "1"], ["0", "1", "2"]]},
+        # (012) |> (12) and (012) |> (01) swapped: a bijection, no automorphism
+        "s3-bad-triangle-row.json": s3 | {"triangle": [
+            [row[0], row[2], row[1], *row[3:]] if i == 3 else row for i, row in enumerate(s3["triangle"])
+        ]},
         "s3-short-row.json": s3 | {
             "triangle": [row[:-1] if i == 2 else row for i, row in enumerate(s3["triangle"])]
         },
@@ -173,6 +179,9 @@ def cases() -> list[list[str]]:
         ["kmap-tensor", "--generators", "2", "--degree", "-1"],
         ["magnus", "--order", "two"],
     ]
+    # the row kernels' first failures: weighted associativity, and a row past 0
+    out.append(["check-postgroup", "inputs/z3-bad-weights.json"])
+    out.append(["check-postgroup", "inputs/s3-bad-triangle-row.json"])
     return out
 
 

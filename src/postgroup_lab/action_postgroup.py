@@ -38,12 +38,15 @@ from .jsonio import (
 
 
 class RightAction(Record):
-    """A validated right action: table[m][g] = m . g."""
+    """A right action, table[m][g] = m . g, validated by its constructor."""
 
     __slots__ = ("group", "points", "table")
     group: GroupTable
     points: tuple[str, ...]
     table: tuple[tuple[int, ...], ...]
+
+    def __new__(cls, group, points, table):
+        return validate_action(group, points, table)
 
 
 def validate_action(
@@ -75,7 +78,7 @@ def validate_action(
                         f"m.(g.h) = {point_names[rows[m][group.table[g][h]]]}",
                         witness=(m, g, h),
                     )
-    return RightAction(group, point_names, rows)
+    return RightAction._of(group, point_names, rows)
 
 
 class GaugeMap(Record):

@@ -19,6 +19,12 @@ braid relation of sigma read on reversed triples, so check_braid_laws
 gets both results from one pass of the kernel, _braid_failure, at the
 same first failing triple.  The kernel reads sigma from flat index
 lists, L[g*n + h] and R[g*n + h], built once per call.
+
+Associativity, the automorphism law and weighted associativity compare
+byte rows (_byte_rows, indices below 256) once per (a, b) and scan only
+two differing rows for the first c, so witnesses keep their order.  The
+brace, braided-group and action loops stay Python, so the benchmark's
+glue keeps under a tenth of its traced op time.
 """
 
 from __future__ import annotations
@@ -54,6 +60,14 @@ def check_size(n: int, what: str) -> None:
             f"{what} on {count} elements exceeds the exhaustive-check cap "
             f"of {TABLE_SIZE_CAP}"
         )
+
+
+def _byte_rows(rows):
+    """Rows as bytes B, and as translation tables P padded to 256 bytes
+    by bytes(range(n, 256)): B[b].translate(P[a]) is c -> rows[a][rows[b][c]]."""
+    pad = bytes(range(len(rows), 256))
+    B = [bytes(row) for row in rows]
+    return B, [row + pad for row in B]
 
 
 def _given(record, *derived):
@@ -100,22 +114,21 @@ def validate_group(
     if unit is None:
         raise GroupAxiomError(f"{what} has no two-sided unit")
 
+    B, P = _byte_rows(rows)
     for a in range(n):
+        row_a, P_a = rows[a], P[a]
         for b in range(n):
-            ab = rows[a][b]
-            row_ab = rows[ab]
-            row_a = rows[a]
-            for c in range(n):
-                if row_ab[c] != row_a[rows[b][c]]:
-                    raise GroupAxiomError(
-                        f"{what} is not associative at "
-                        f"({names[a]}, {names[b]}, {names[c]}): "
-                        f"({names[a]}.{names[b]}).{names[c]} = "
-                        f"{names[row_ab[c]]} but "
-                        f"{names[a]}.({names[b]}.{names[c]}) = "
-                        f"{names[row_a[rows[b][c]]]}",
-                        witness=(a, b, c),
-                    )
+            lhs, rhs = B[row_a[b]], B[b].translate(P_a)
+            if lhs == rhs:
+                continue
+            c = next(c for c in range(n) if lhs[c] != rhs[c])
+            raise GroupAxiomError(
+                f"{what} is not associative at "
+                f"({names[a]}, {names[b]}, {names[c]}): "
+                f"({names[a]}.{names[b]}).{names[c]} = {names[lhs[c]]} but "
+                f"{names[a]}.({names[b]}.{names[c]}) = {names[rhs[c]]}",
+                witness=(a, b, c),
+            )
 
     inv = [None] * n
     for a in range(n):
@@ -163,6 +176,7 @@ def _with_triangle(group: GroupTable, triangle) -> PostGroupTable:
     names = group.elements
     n = len(names)
     rows = check_rows(triangle, names, n, n, "triangle")
+    (DB, DP), (TB, TP) = _byte_rows(group.table), _byte_rows(rows)
 
     for a in range(n):
         row = rows[a]
@@ -172,32 +186,32 @@ def _with_triangle(group: GroupTable, triangle) -> PostGroupTable:
                 f"triangle row {names[a]} is not a bijection", witness=(a,)
             )
         for b in range(n):
-            for c in range(n):
-                if row[group.table[b][c]] != group.table[row[b]][row[c]]:
-                    raise AutomorphismError(
-                        f"{names[a]} |> - does not respect the dot product at "
-                        f"({names[b]}, {names[c]}): "
-                        f"{names[a]} |> ({names[b]}.{names[c]}) = "
-                        f"{names[row[group.table[b][c]]]} but "
-                        f"({names[a]} |> {names[b]}).({names[a]} |> {names[c]}) = "
-                        f"{names[group.table[row[b]][row[c]]]}",
-                        witness=(a, b, c),
-                    )
+            lhs, rhs = DB[b].translate(TP[a]), TB[a].translate(DP[row[b]])
+            if lhs == rhs:
+                continue
+            c = next(c for c in range(n) if lhs[c] != rhs[c])
+            raise AutomorphismError(
+                f"{names[a]} |> - does not respect the dot product at "
+                f"({names[b]}, {names[c]}): "
+                f"{names[a]} |> ({names[b]}.{names[c]}) = {names[lhs[c]]} but "
+                f"({names[a]} |> {names[b]}).({names[a]} |> {names[c]}) = "
+                f"{names[rhs[c]]}",
+                witness=(a, b, c),
+            )
 
     for a in range(n):
         for b in range(n):
-            star_ab = group.table[a][rows[a][b]]
-            for c in range(n):
-                if rows[star_ab][c] != rows[a][rows[b][c]]:
-                    raise PostGroupLawError(
-                        f"weighted associativity fails at "
-                        f"({names[a]}, {names[b]}, {names[c]}): "
-                        f"({names[a]}*{names[b]}) |> {names[c]} = "
-                        f"{names[rows[star_ab][c]]} but "
-                        f"{names[a]} |> ({names[b]} |> {names[c]}) = "
-                        f"{names[rows[a][rows[b][c]]]}",
-                        witness=(a, b, c),
-                    )
+            lhs, rhs = TB[group.table[a][rows[a][b]]], TB[b].translate(TP[a])
+            if lhs == rhs:
+                continue
+            c = next(c for c in range(n) if lhs[c] != rhs[c])
+            raise PostGroupLawError(
+                f"weighted associativity fails at "
+                f"({names[a]}, {names[b]}, {names[c]}): "
+                f"({names[a]}*{names[b]}) |> {names[c]} = {names[lhs[c]]} but "
+                f"{names[a]} |> ({names[b]} |> {names[c]}) = {names[rhs[c]]}",
+                witness=(a, b, c),
+            )
 
     return PostGroupTable._of(names, group.table, rows, group.unit, group.inv, None)
 

@@ -15,6 +15,7 @@ instead, where the four maps form the Klein pre-group.
 
 from __future__ import annotations
 
+import pickle
 import random
 from itertools import permutations
 
@@ -216,12 +217,13 @@ class TestGaugePostGroup:
 # S3 acting on its three points, 6^3 = 216 gauge maps: past the table
 # cap, so the post-group laws are sampled through the pointwise formulas.
 # symmetric_group lists permutations in this order and composes right to
-# left, so m.g = g^{-1}(m) is a right action and m.g = g(m) a left one.
+# left, so m.g = g^{-1}(m) is a right action and m.g = g(m) a left one,
+# which only the trusted _of builds as a RightAction.
 S3 = symmetric_group(3)
 S3_PERMS = list(permutations(range(3)))
 S3_POINTS = ("0", "1", "2")
 S3_RIGHT = validate_action(S3, S3_POINTS, [[p.index(m) for p in S3_PERMS] for m in range(3)])
-S3_LEFT_AS_RIGHT = RightAction(
+S3_LEFT_AS_RIGHT = RightAction._of(
     S3, S3_POINTS, tuple(tuple(p[m] for p in S3_PERMS) for m in range(3))
 )
 
@@ -266,6 +268,21 @@ class TestGaugePostGroupPastTheCap:
         assert len(failures) > 50
         # the pointwise rows are still automorphisms of the pointwise product
         assert all(gauge_laws(*t)["automorphism"] for t in triples)
+
+
+class TestRightActionRecord:
+    def test_constructor_refuses_a_left_action(self):
+        with pytest.raises(ActionLawError) as failure:
+            RightAction(S3, S3_POINTS, S3_LEFT_AS_RIGHT.table)
+        assert str(failure.value) == (
+            "composition fails at (0, (12), (01)): (m.g).h = 1 but m.(g.h) = 2"
+        )
+        assert failure.value.witness == (0, 1, 2)
+
+    def test_valid_action_survives_a_pickle_round_trip(self):
+        again = pickle.loads(pickle.dumps(S3_RIGHT))
+        assert type(again) is RightAction and again is not S3_RIGHT
+        assert again == S3_RIGHT and again.table == S3_RIGHT.table
 
 
 def _element_order(group, a):

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import random
 
 import pytest
 import reference_finite as ref
@@ -588,6 +589,92 @@ class TestTrustedConversionsAgainstReference:
             outcome(lambda: ref.skew_brace_to_postgroup(validate_skew_brace(names, dot, star)))
         )
 
+
+
+def corrupted(pg, rng):
+    """pg's dot and triangle tables as lists, one of them corrupted: one or
+    two entries changed, two entries of a row swapped, or two rows swapped."""
+    n = len(pg)
+    tables = [[list(r) for r in pg.dot], [list(r) for r in pg.triangle]]
+    table = rng.choice(tables)
+    a, b = rng.sample(range(n), 2)
+    kind = rng.choice(("one entry", "two entries", "entries of a row", "rows"))
+    if kind == "rows":
+        table[a], table[b] = table[b], table[a]
+    elif kind == "entries of a row":
+        row = table[rng.randrange(n)]
+        row[a], row[b] = row[b], row[a]
+    else:
+        for _ in range(1 if kind == "one entry" else 2):
+            a, b = rng.randrange(n), rng.randrange(n)
+            table[a][b] = (table[a][b] + rng.randrange(1, n)) % n
+    return tables
+
+
+def same_as_reference(pg, tables):
+    """The outcome of validate_postgroup on pg's names and tables, once the
+    triple loops of the reference have given the same one."""
+    dot, tri = tables
+    got = outcome(lambda: validate_postgroup(pg.elements, dot, tri))
+    assert got == outcome(lambda: ref.validate_postgroup(pg.elements, dot, tri))
+    return got
+
+
+# the message of each row kernel, as it begins after the element names
+KERNEL_LAWS = ("is not associative", "does not respect the dot product", "weighted associativity")
+GAUGE_16 = build_gauge_postgroup(fixing(4))
+GAUGE_64 = build_gauge_postgroup(fixing(6))
+KERNEL_TABLES = [pg for _, pg in acceptance_corpus()] + [
+    GAUGE_16, conjugation_postgroup(symmetric_group(4))
+]
+
+
+def laws_reached(outcomes):
+    return {law for law in KERNEL_LAWS for got in outcomes if law in str(got)}
+
+
+class TestRowKernelsAgainstReference:
+    """Associativity, the automorphism law and weighted associativity
+    compare byte rows; the triple loops they replaced refuse every
+    corrupted table with the same error, message and witness, or accept
+    it as the same record."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(pg=st.sampled_from(KERNEL_TABLES), rng=st.randoms(use_true_random=False))
+    def test_corrupted_tables(self, pg, rng):
+        same_as_reference(pg, corrupted(pg, rng))
+
+    def test_seeded_corruptions_reach_every_kernel(self):
+        rng = random.Random(0)
+        outcomes = []
+        for pg in KERNEL_TABLES:
+            outcomes += [same_as_reference(pg, corrupted(pg, rng)) for _ in range(40)]
+        assert laws_reached(outcomes) == set(KERNEL_LAWS)
+
+    def test_seeded_corruptions_at_the_size_cap(self):
+        # the triangle of this gauge table is the identity; these seeded
+        # corruptions stop at the dot product or the automorphism law
+        rng = random.Random(64)
+        outcomes = [same_as_reference(GAUGE_64, corrupted(GAUGE_64, rng)) for _ in range(48)]
+        assert laws_reached(outcomes) == set(KERNEL_LAWS[:2])
+
+
+def test_the_size_cap_fits_the_byte_rows(monkeypatch):
+    assert finite_postgroup.TABLE_SIZE_CAP <= 255, (
+        "the row kernels of validate_group and _with_triangle keep element "
+        "indices in bytes and pad each row to a 256-byte translation table"
+    )
+    sizes = []
+    byte_rows = finite_postgroup._byte_rows
+
+    def counted(rows):
+        sizes.append(len(rows))
+        return byte_rows(rows)
+
+    monkeypatch.setattr(finite_postgroup, "_byte_rows", counted)
+    pg = GAUGE_64
+    assert validate_postgroup(pg.elements, pg.dot, pg.triangle) == pg
+    assert sizes == [finite_postgroup.TABLE_SIZE_CAP] * 3
 
 def test_each_law_runs_once_per_record(monkeypatch):
     calls = {}
