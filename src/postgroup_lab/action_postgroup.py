@@ -18,7 +18,7 @@ from collections.abc import Sequence
 from itertools import product
 from pathlib import Path
 
-from .errors import ActionLawError, ShapeError
+from .errors import ActionLawError, SchemaError, ShapeError
 from .finite_postgroup import (
     GroupTable,
     PostGroupTable,
@@ -53,6 +53,8 @@ def validate_action(
     group: GroupTable, points: Sequence[str], table: Sequence[Sequence[int]]
 ) -> RightAction:
     """Unit and composition laws, checked over all points and pairs."""
+    if not isinstance(group, GroupTable):
+        raise SchemaError(f"action group must be a GroupTable, got {type(group).__name__}")
     point_names = name_list(points, "action points")
     n_points = len(point_names)
     n_group = len(group)

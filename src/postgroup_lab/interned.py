@@ -15,8 +15,9 @@ default or a private slot writes __init__ and stores each by its setter.
 
 An Interned subclass keeps one object per value.  Its __new__ looks the
 value up in a module-level table, which is never cleared, and calls
-_build only on a miss.  Equality is then the default identity test, and
-each object stores its hash when it is built.
+_build, with the values of any private slots, only on a miss.  Equality
+is then the default identity test, and each object stores its hash when
+it is built.
 """
 
 from operator import attrgetter
@@ -96,8 +97,8 @@ class Interned(Record):
     __eq__ = object.__eq__  # equal values are one object
 
     @classmethod
-    def _build(cls, values: tuple):
-        self = cls._of(*values)
+    def _build(cls, values: tuple, *private):
+        self = cls._of(*values, *private)
         object.__setattr__(self, "_hash", hash(values))
         return self
 

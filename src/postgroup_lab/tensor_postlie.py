@@ -9,8 +9,10 @@ its antipode, and implements the length-lowering map K together with
 its inverse.  Everything is exact; there is no floating point here.
 
 Each operation is a memoised rule on words, extended to polynomials by
-_linear or _bilinear.  The unshuffle coproduct is a TensorPoly keyed by
-(word, word) pairs.
+_linear or _bilinear.  The memo dicts are _SPLITS (position splits),
+_TRI (triangle), _GL (twisted product), _SSTAR (its antipode) and _K.
+kmap_tensor_inverse keeps its memo for one call only.  The unshuffle
+coproduct is a TensorPoly keyed by (word, word) pairs.
 
 The unshuffle coproduct of a word of length k has 2^k terms.  Apart
 from kmap_tensor_inverse, the functions here take no size cap: the verbs,
@@ -20,7 +22,7 @@ before any tensor work starts.
 Trees are interned (see interned.py): Leaf in the module table _LEAVES,
 keyed by index, and Node in _NODES, keyed by the ids of its children.
 Equal trees are the same object, so tree equality is identity and each
-tree's hash is computed once, when it is built.
+tree's hash, degree and sort key are computed once, when it is built.
 """
 
 from __future__ import annotations
@@ -42,20 +44,20 @@ _NODES: dict[tuple[int, int], Node] = {}
 
 
 class Leaf(Interned):
-    __slots__ = ("index",)
+    __slots__ = ("index", "_key")
     index: int
 
     def __new__(cls, index: int) -> Leaf:
         leaf = _LEAVES.get(index)
         if leaf is None:
-            leaf = _LEAVES[index] = cls._build((index,))
+            leaf = _LEAVES[index] = cls._build((index,), (1, (0, index)))
         return leaf
 
 
 class Node(Interned):
     # keying by id is safe: a node keeps its children alive, and the
     # table keeps the node
-    __slots__ = ("left", "right")
+    __slots__ = ("left", "right", "_key")
     left: MagmaTree
     right: MagmaTree
 
@@ -63,7 +65,11 @@ class Node(Interned):
         key = (id(left), id(right))
         node = _NODES.get(key)
         if node is None:
-            node = _NODES[key] = cls._build((left, right))
+            # _key is (degree, struct): struct is a flat self-delimiting
+            # encoding, and lexicographic comparison of two encodings agrees
+            # with "leaf < node, recurse left then right"
+            (ld, ls), (rd, rs) = left._key, right._key
+            node = _NODES[key] = cls._build((left, right), (ld + rd, (1,) + ls + rs))
         return node
 
 
@@ -72,30 +78,16 @@ MagmaTree = Leaf | Node
 TensorWord = tuple  # tuple[MagmaTree, ...]; () is the unit word
 
 
-def tree_degree(tree: MagmaTree) -> int:
-    if isinstance(tree, Leaf):
-        return 1
-    return tree_degree(tree.left) + tree_degree(tree.right)
-
-
 def word_degree(word: TensorWord) -> int:
-    return sum(tree_degree(t) for t in word)
-
-
-def _tree_struct(tree: MagmaTree) -> tuple:
-    # flat self-delimiting encoding; lexicographic comparison of two
-    # encodings agrees with "leaf < node, recurse left then right"
-    if isinstance(tree, Leaf):
-        return (0, tree.index)
-    return (1,) + _tree_struct(tree.left) + _tree_struct(tree.right)
+    return sum(t._key[0] for t in word)
 
 
 def tree_key(tree: MagmaTree) -> tuple:
-    return (tree_degree(tree), _tree_struct(tree))
+    return tree._key
 
 
 def word_key(word: TensorWord) -> tuple:
-    return (word_degree(word), len(word), tuple(tree_key(t) for t in word))
+    return (word_degree(word), len(word), tuple(t._key for t in word))
 
 
 class TensorPoly:
@@ -360,10 +352,9 @@ def kmap_tensor(poly: TensorPoly) -> TensorPoly:
 
 
 def kmap_tensor_inverse(poly: TensorPoly, max_degree=DEGREE_CAP) -> TensorPoly:
-    """Invert K by the finite series K^-1(A) = sum over n of (1 - K)^n A.
+    """Invert K word by word, with a memo that lasts one call.
 
-    (1 - K) keeps only words strictly shorter than the longest word of
-    its input, so the n-th term vanishes once n exceeds that length.
+    K(w) is w plus strictly shorter words v, so K^-1(w) = w - sum c_v K^-1(v).
     """
     # max_degree stays while bench/test_bench.py::test_wrong_inverse_image_is_a_failed_op passes it
     worst = max((word_degree(w) for w in poly.terms), default=0)
@@ -372,11 +363,21 @@ def kmap_tensor_inverse(poly: TensorPoly, max_degree=DEGREE_CAP) -> TensorPoly:
             f"input of degree {worst} exceeds the cap {max_degree}; "
             "pass max_degree=None to force"
         )
-    total, term = TensorPoly.zero(), poly
-    while not term.is_zero():
-        total = total + term
-        term = term - kmap_tensor(term)
-    return total
+    memo: dict = {}
+
+    def inverse(word: TensorWord) -> TensorPoly:
+        hit = memo.get(word)
+        if hit is not None:
+            return hit
+        acc = {word: _ONE}
+        for v, c in _k_word(word).terms.items():
+            if v != word:
+                for u, d in inverse(v).terms.items():
+                    _add_into(acc, u, -c * d)
+        out = memo[word] = TensorPoly(acc)
+        return out
+
+    return _linear(inverse, poly)
 
 
 def is_primitive(poly: TensorPoly) -> bool:

@@ -27,6 +27,7 @@ from hypothesis import strategies as st
 from postgroup_lab.errors import (
     ActionLawError,
     AutomorphismError,
+    SchemaError,
     ShapeError,
     SizeCapError,
 )
@@ -278,6 +279,11 @@ class TestRightActionRecord:
             "composition fails at (0, (12), (01)): (m.g).h = 1 but m.(g.h) = 2"
         )
         assert failure.value.witness == (0, 1, 2)
+
+    def test_constructor_refuses_a_group_that_is_not_a_group_table(self):
+        with pytest.raises(SchemaError) as failure:
+            RightAction(cyclic_group(2).table, ("p0",), ((0, 0),))
+        assert str(failure.value) == "action group must be a GroupTable, got tuple"
 
     def test_valid_action_survives_a_pickle_round_trip(self):
         again = pickle.loads(pickle.dumps(S3_RIGHT))

@@ -9,6 +9,7 @@ were derived by hand from the recursions and are spelled out in full.
 from __future__ import annotations
 
 import itertools
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -36,7 +37,6 @@ from postgroup_lab.tensor_postlie import (
     kmap_tensor,
     kmap_tensor_inverse,
     pair_tensor,
-    tree_degree,
     tree_key,
     trees_of_degree,
     triangle,
@@ -110,17 +110,47 @@ def struct_less_oracle(a, b):
 
 def tree_less_oracle(a, b):
     """Reference comparator: degree first, then purely structural."""
-    da, db = tree_degree(a), tree_degree(b)
+    da, db = reference_tensor.tree_degree(a), reference_tensor.tree_degree(b)
     if da != db:
         return da < db
     return struct_less_oracle(a, b)
 
 
-trees_small = st.recursive(
-    st.integers(min_value=0, max_value=1).map(Leaf),
-    lambda inner: st.tuples(inner, inner).map(lambda p: Node(*p)),
-    max_leaves=3,
-)
+def trees_over(generators, max_leaves):
+    return st.recursive(
+        st.integers(min_value=0, max_value=generators - 1).map(Leaf),
+        lambda inner: st.tuples(inner, inner).map(lambda p: Node(*p)),
+        max_leaves=max_leaves,
+    )
+
+
+@st.composite
+def tree_of_degree(draw, degree, generators):
+    if degree == 1:
+        return Leaf(draw(st.integers(min_value=0, max_value=generators - 1)))
+    left = draw(st.integers(min_value=1, max_value=degree - 1))
+    return Node(
+        draw(tree_of_degree(left, generators)),
+        draw(tree_of_degree(degree - left, generators)),
+    )
+
+
+@st.composite
+def polys_up_to_degree_six(draw):
+    """Fraction combinations of words of degree at most 6 over 2 or 3 generators."""
+    generators = draw(st.sampled_from((2, 3)))
+    poly = TensorPoly.zero()
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        word, left = [], draw(st.integers(min_value=0, max_value=6))
+        while left:
+            degree = draw(st.integers(min_value=1, max_value=left))
+            word.append(draw(tree_of_degree(degree, generators)))
+            left -= degree
+        poly = poly + draw(fractions_small) * TensorPoly.from_word(tuple(word))
+    return poly
+
+
+trees_small = trees_over(2, max_leaves=3)
 words_small = st.lists(trees_small, max_size=3).map(tuple).filter(
     lambda w: word_degree(w) <= 6
 )
@@ -147,11 +177,31 @@ class TestTrees:
     def test_product_is_a_node(self):
         t = Node(A0, A1)
         assert (t.left, t.right) == (A0, A1)
-        assert tree_degree(t) == 2
+        assert word_degree((t,)) == 2
 
     @given(trees_small, trees_small)
     def test_degree_is_additive(self, s, t):
-        assert tree_degree(Node(s, t)) == tree_degree(s) + tree_degree(t)
+        assert word_degree((Node(s, t),)) == word_degree((s,)) + word_degree((t,))
+
+    @given(st.sampled_from((2, 3)).flatmap(lambda g: trees_over(g, max_leaves=8)))
+    def test_cached_degree_and_key_match_the_recursion(self, tree):
+        assert tree._key[0] == reference_tensor.tree_degree(tree)
+        assert tree._key == tree_key(tree) == reference_tensor.tree_key(tree)
+        word = (tree, A1)
+        assert word_key(word) == (
+            sum(map(reference_tensor.tree_degree, word)),
+            2,
+            tuple(map(reference_tensor.tree_key, word)),
+        )
+
+    def test_deep_node_survives_a_pickle_round_trip(self):
+        tree = Leaf(0)
+        for i in range(300):
+            tree = Node(Leaf(i % 3), tree) if i % 2 else Node(tree, Leaf(i % 3))
+        again = pickle.loads(pickle.dumps(tree))
+        assert again is tree
+        assert again._key[0] == 301 == reference_tensor.tree_degree(tree)
+        assert again._key == reference_tensor.tree_key(tree)
 
     def test_order_separates_association(self):
         right = Node(A0, Node(A1, A2))
@@ -519,6 +569,11 @@ class TestKmap:
         assert kmap_tensor(inverse) == poly
         image = kmap_tensor(poly)
         assert kmap_tensor_inverse(image, max_degree=None) == poly
+
+    @given(polys_up_to_degree_six())
+    @settings(max_examples=80, deadline=None)
+    def test_inverse_matches_the_series(self, poly):
+        assert kmap_tensor_inverse(poly) == reference_tensor.kmap_tensor_inverse(poly)
 
     def test_turns_star_into_concatenation(self):
         for da, db in itertools.product(range(5), repeat=2):
