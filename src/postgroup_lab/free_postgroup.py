@@ -15,7 +15,11 @@ the finished permutation, preserving signs and reducedness.
 jmap and kmap are mutually inverse bijections of the set of reduced
 words that exchange the free-group product with the * product; jmap is
 the identity on generators and a homomorphism from dot to *.  By that
-law, both run in one linear pass that carries pi along the letters.
+law, both run in one linear pass that carries pi along the letters,
+jmap reading the magma's step table.  Neither reduces its output:
+images of letters m, m'^{-1} cancel only if L_m(lam(m')) = m, that is
+m' = m, which a reduced input excludes, and m^{-1}, m' is symmetric;
+kmap's letters are sent by jmap to its reduced input, one for one.
 """
 
 from __future__ import annotations
@@ -89,19 +93,17 @@ def gl_inverse(magma: MagmaTable, u: ReducedWord) -> ReducedWord:
 def jmap(magma: MagmaTable, u: ReducedWord) -> ReducedWord:
     """Rewrite a dot-word as a *-word in one pass.
 
-    Positive letters map to themselves.  The negative letter of m maps
-    to its *-inverse, the single letter lam(m)^{-1}.  Their * product
-    appends each image moved by pi, the permutation of the product so
-    far, and pi then absorbs the image's letter permutation.
+    A letter's step entry gives its image, m or lam(m)^{-1}, appended
+    moved by pi, the permutation of the product so far, which then
+    absorbs the image's permutation.  No images cancel.
     """
     _check_alphabet(magma, u)
-    pi = identity_perm(len(magma))
-    moved: list[Letter] = []
+    steps, pi, out = magma._steps, identity_perm(len(magma)), []
     for letter in u.letters:
-        image = letter if letter.sign == 1 else Letter(magma.lam[letter.gen], -1)
-        moved.append(Letter(pi[image.gen], image.sign))
-        pi = compose_perm(pi, generator_perm(magma, image))
-    return reduce_word(u.alphabet, moved)
+        letters, gen, perm = steps[letter.sign][letter.gen]
+        out.append(letters[pi[gen]])
+        pi = tuple(map(pi.__getitem__, perm))
+    return ReducedWord._of(u.alphabet, tuple(out))
 
 
 def kmap(magma: MagmaTable, v: ReducedWord) -> ReducedWord:
@@ -110,20 +112,15 @@ def kmap(magma: MagmaTable, v: ReducedWord) -> ReducedWord:
     Peeling letters from the left, the k-th letter b of the input must
     equal pi(a'), where pi is the permutation accumulated from the
     previous solved letters, so a' = pi^{-1}(b).  A positive a' came
-    from itself; a negative letter p^{-1} came from lam^{-1}(p)^{-1}.
-    The recovered letters are reduced in one stack pass.
+    from itself, a negative p^{-1} from lam^{-1}(p)^{-1}; none cancel.
     """
     _check_alphabet(magma, v)
-    pi_inv = identity_perm(len(magma))
-    recovered: list[Letter] = []
+    pi_inv, recovered = identity_perm(len(magma)), []
     for letter in v.letters:
         solved = Letter(pi_inv[letter.gen], letter.sign)
         pi_inv = compose_perm(generator_perm_inv(magma, solved), pi_inv)
-        if solved.sign == 1:
-            recovered.append(solved)
-        else:
-            recovered.append(Letter(magma.lam_inv[solved.gen], -1))
-    return reduce_word(v.alphabet, recovered)
+        recovered.append(solved if solved.sign == 1 else Letter(magma.lam_inv[solved.gen], -1))
+    return ReducedWord._of(v.alphabet, tuple(recovered))
 
 
 def parse_over(magma: MagmaTable, text: str) -> ReducedWord:

@@ -7,8 +7,8 @@ unique b with m |> b = m, to be a bijection as well.  Both checks are
 exhaustive and produce concrete witnesses on failure.
 
 Validation precomputes everything the free post-group needs per
-letter: lam, its inverse, and the inverse of each row, so that every
-letter permutation and its inverse are plain table lookups.
+letter: lam, its inverse, the inverse of each row and jmap's step
+table, so that every letter permutation is a plain table lookup.
 """
 
 from __future__ import annotations
@@ -27,15 +27,27 @@ class MagmaTable(Record):
     """A validated diagonal left-regular magma.
 
     Build through validate_magma or load_magma; the constructor trusts
-    its inputs.
+    its inputs and builds jmap's step table: _steps[sign][gen] holds the
+    letters of the sign, the image m or lam(m)^{-1} and L_m or L_m^{-1}.
     """
 
-    __slots__ = ("alphabet", "triangle", "lam", "lam_inv", "row_inv")
+    __slots__ = ("alphabet", "triangle", "lam", "lam_inv", "row_inv", "_steps")
     alphabet: Alphabet
     triangle: tuple[tuple[int, ...], ...]
     lam: tuple[int, ...]
     lam_inv: tuple[int, ...]
     row_inv: tuple[tuple[int, ...], ...]
+    _steps: dict[int, tuple[tuple, ...]]
+
+    def __init__(self, alphabet, triangle, lam, lam_inv, row_inv) -> None:
+        *set_fields, set_steps = self._setters
+        for set_field, value in zip(set_fields, (alphabet, triangle, lam, lam_inv, row_inv)):
+            set_field(self, value)
+        pos, neg = (tuple(Letter(g, sign) for g in range(len(lam))) for sign in (1, -1))
+        set_steps(self, {
+            1: tuple((pos, g, row) for g, row in enumerate(triangle)),
+            -1: tuple((neg, lam[g], row) for g, row in enumerate(row_inv)),
+        })
 
     def __len__(self) -> int:
         return len(self.alphabet)

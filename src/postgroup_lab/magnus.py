@@ -49,10 +49,10 @@ class TruncatedSeries(Record):
     coeffs: tuple  # tuple[TensorPoly, ...], index = power of t
 
     def __init__(self, coeffs: tuple) -> None:
-        if not coeffs:
-            raise ShapeError("a series needs at least the constant coefficient")
         (set_coeffs,) = self._setters
-        set_coeffs(self, coeffs)
+        set_coeffs(self, tuple(coeffs))
+        if not self.coeffs:
+            raise ShapeError("a series needs at least the constant coefficient")
 
     @property
     def order(self) -> int:

@@ -85,6 +85,7 @@ class ReducedWord(Record):
     letters: tuple[Letter, ...]
 
     def __init__(self, alphabet: Alphabet, letters: tuple[Letter, ...]) -> None:
+        letters = tuple(letters)
         n = len(alphabet)
         for letter in letters:
             if not 0 <= letter.gen < n:

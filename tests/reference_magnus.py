@@ -25,17 +25,25 @@ layer before it summed each order into one dict over the word kernels:
 they build one TensorPoly per cross term, per weighted power and per
 antipode, and the bracket guards every pair.  series_triangle is the
 triangle product of two series, which the library does not need.
+
+lie_group_method builds one step of an explicit Lie group integrator
+from the library's own series kernels.  Its oracle is the method's
+classical order, a fact from outside the library: agreement_order
+reads how far the step agrees with the exact flow.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import factorial
 
+from postgroup_lab import magnus
 from postgroup_lab.errors import CheckResult, NotPrimitiveError, ShapeError
 from postgroup_lab.magnus import TruncatedSeries, bernoulli_modified, exp_dot_series
 from postgroup_lab.tensor_postlie import (
     MagmaTree,
     TensorPoly,
+    _tri_word,
     antipode_star,
     concat,
     format_poly,
@@ -202,3 +210,60 @@ def alpha_series(x: MagmaTree, order: int) -> TruncatedSeries:
     letter = TensorPoly({(x,): 1})
     exp = exp_dot_series(x, order)
     return TruncatedSeries(tuple(triangle(antipode_star(c), letter) for c in exp.coeffs))
+
+
+# ------------------------------------------- Lie group integrators
+
+
+def _constant(x: MagmaTree, order: int) -> TruncatedSeries:
+    """The series with x at t^0 and zero above."""
+    return TruncatedSeries((TensorPoly.from_word((x,)), *zero_series(order - 1).coeffs))
+
+
+def _times_t(series: TruncatedSeries) -> TruncatedSeries:
+    return TruncatedSeries((TensorPoly.zero(), *series.coeffs[:-1]))
+
+
+def _exp_dot(series: TruncatedSeries) -> TruncatedSeries:
+    """exp of a zero-constant series for the concatenation product."""
+    weights = [Fraction(1, factorial(m)) for m in range(2, series.order + 1)]
+    powers = magnus._power_sum(series, lambda p: magnus.series_concat(p, series), weights)
+    return TruncatedSeries.unit(series.order) + powers
+
+
+def _frozen_flows(coeffs, fields, order: int) -> TruncatedSeries:
+    """exp^.(c_1 F_1) ... exp^.(c_k F_k), each new factor on the right."""
+    flow = TruncatedSeries.unit(order)
+    for c, field in zip(coeffs, fields):
+        if c:
+            flow = magnus.series_concat(flow, _exp_dot(scaled(c, field)))
+    return flow
+
+
+def lie_group_method(x: MagmaTree, a, b, order: int) -> TruncatedSeries:
+    """One step of length t of an explicit Lie group method, as a series.
+
+    The vector field is the constant series x.  Stage i freezes it at
+    G_i, the flow of the earlier stages weighted by row i of a, as
+    F_i = t (G_i |> x); the first stage has no row, so G_1 = 1.  The
+    step is the flow of all stages weighted by b.  Each stage scales
+    its field by its coefficient and leaves t alone, since G_i depends
+    on the full step.
+    """
+    field = _constant(x, order)
+    fields = []
+    for row in ((), *a):
+        frozen = magnus._convolve(_frozen_flows(row, fields, order), field, _tri_word)
+        fields.append(_times_t(frozen))
+    return _frozen_flows(b, fields, order)
+
+
+def exact_flow(x: MagmaTree, order: int) -> TruncatedSeries:
+    """The exact flow of the constant field x over time t: exp^*(t x)."""
+    return magnus.exp_star_series(_times_t(_constant(x, order)))
+
+
+def agreement_order(x: MagmaTree, a, b, order: int) -> int:
+    """The largest p <= order with method and exact flow equal through t^p."""
+    pairs = zip(lie_group_method(x, a, b, order).coeffs, exact_flow(x, order).coeffs)
+    return next((k - 1 for k, (c, d) in enumerate(pairs) if c != d), order)

@@ -6,7 +6,11 @@ whose rows are shifts by 0, 2, 1.  Laws are then checked on random
 words with hypothesis, including well-definedness of the action on
 unreduced spellings, which bypasses the public reducing constructors.
 The single-pass kernels are compared with the letter-at-a-time
-versions kept in reference_free on words of up to 200 letters.  Words
+versions kept in reference_free on words of up to 200 letters, and
+on the magmas of the finite post-groups below; jmap and kmap build their
+output through the trusted constructor, so each output must also pass
+the validating one.  The step table jmap reads is checked entry by
+entry against the letter permutations of the magma module.  Words
 evaluated in the dot group of a finite post-group whose triangle table
 is a diagonal left-regular magma must respect the action and the
 product, since evaluation is a post-group morphism out of the free
@@ -40,6 +44,7 @@ from postgroup_lab.free_postgroup import (
 )
 from postgroup_lab.magma import (
     cyclic_shift_magma,
+    generator_perm,
     shift_family_magma,
     trivial_magma,
     validate_magma,
@@ -250,6 +255,16 @@ class TestTrivialMagmaDegeneracies:
         assert ref.opposite_act(TRIV3, u, v) == dot(dot(u, v), invert(u))
 
 
+def assert_matches_reference(magma, u):
+    """jmap and kmap equal the oracle's, keep the length of u, and pass
+    the validating constructor, which the trusted one they use skips."""
+    for kernel, oracle in ((jmap, ref.jmap), (kmap, ref.kmap)):
+        out = kernel(magma, u)
+        assert out == oracle(magma, u)
+        assert len(out) == len(u)
+        assert ReducedWord(magma.alphabet, out.letters) == out
+
+
 class TestAgainstReference:
     # no deadline: the quadratic reference takes tens of ms on 200 letters
     @settings(max_examples=60, deadline=None)
@@ -264,8 +279,7 @@ class TestAgainstReference:
     def test_jmap_and_kmap(self, data):
         magma = data.draw(oracle_magma_st)
         u = reduce_word(magma.alphabet, data.draw(long_raw_st(magma)))
-        assert jmap(magma, u) == ref.jmap(magma, u)
-        assert kmap(magma, u) == ref.kmap(magma, u)
+        assert_matches_reference(magma, u)
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
@@ -286,6 +300,28 @@ def _finite_postgroups():
 
 
 FINITE = _finite_postgroups()
+
+
+class TestStepTable:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_jmap_and_kmap_on_finite_magmas(self, data):
+        # rows that do not commute, lam not the identity, up to 24 generators
+        _, magma = data.draw(st.sampled_from(FINITE))
+        assert_matches_reference(
+            magma, reduce_word(magma.alphabet, data.draw(long_raw_st(magma, 60)))
+        )
+
+    @pytest.mark.parametrize("magma", ORACLE_MAGMAS + tuple(m for _, m in FINITE))
+    def test_entries_match_the_letter_permutations(self, magma):
+        n = len(magma)
+        for sign in (1, -1):
+            for gen in range(n):
+                letters, image, perm = magma._steps[sign][gen]
+                assert letters == tuple(Letter(g, sign) for g in range(n))
+                # the jmap image of the letter is m or lam(m)^-1
+                assert image == (gen if sign == 1 else magma.lam[gen])
+                assert perm == generator_perm(magma, Letter(image, sign))
 
 
 def evaluate(pg, word):

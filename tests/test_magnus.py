@@ -7,6 +7,10 @@ x the generator and t the tree product x|>x:
     alpha(tx)   = x - t (x|>x) + t^2 (x|>(x|>x) + (x|>x)|>x)/2 - ...
     flow Y      = 1 + t x + t^2 (x.x - x|>x)/2 + ...
     Magnus      = t x - t^2 (x|>x)/2 + ...
+
+Lie group integrators built from the series kernels must have their
+classical orders: Lie-Euler 1, the exponential midpoint 2 and
+Crouch-Grossman 3.
 """
 
 from __future__ import annotations
@@ -524,3 +528,45 @@ class TestGrouplikeSeriesFormAPostGroup:
         broken[2] = TensorPoly.from_word((X1, X1))
         laws = post_group_laws(TruncatedSeries(tuple(broken)), Y, Z)
         assert not laws["X*Y = X.(X |> Y)"]
+
+
+# ------------------------------ order conditions of Lie group integrators
+
+LIE_EULER = ((), (1,))
+EXPONENTIAL_MIDPOINT = (((Fraction(1, 2),),), (0, 1))
+# Crouch and Grossman (1993), as given in Hairer, Lubich and Wanner,
+# Geometric Numerical Integration, IV.8
+CG_A = ((Fraction(3, 4),), (Fraction(119, 216), Fraction(17, 108)))
+CG_B = (Fraction(13, 51), Fraction(-2, 3), Fraction(24, 17))
+fractions_st = st.fractions(min_value=-2, max_value=2, max_denominator=6)
+
+
+class TestLieGroupIntegratorOrders:
+    """The classical order of a Lie group method is a fact from outside
+    this library: one step of it, built from the series kernels, must
+    agree with the exact flow exp^*(t x) through t^p and not at t^(p+1)
+    (Munthe-Kaas and Wright, 2008, for the post-Lie setting)."""
+
+    @pytest.mark.parametrize("a, b, p", [
+        (*LIE_EULER, 1), (*EXPONENTIAL_MIDPOINT, 2), (CG_A, CG_B, 3),
+    ], ids=["Lie-Euler", "exponential midpoint", "Crouch-Grossman"])
+    def test_agrees_through_its_order_and_no_further(self, a, b, p):
+        for order in (p + 1, 5):
+            assert ref.agreement_order(X, a, b, order) == p
+
+    def test_wrong_coefficient_drops_crouch_grossman_to_order_one(self):
+        a = ((Fraction(2, 3),), CG_A[1])
+        assert ref.agreement_order(X, a, CG_B, 4) == 1
+
+    @settings(max_examples=40, deadline=None)
+    @given(b1=fractions_st, b2=fractions_st, a21=fractions_st,
+           consistent=st.booleans(), second_order=st.booleans())
+    def test_two_stage_order_conditions(self, b1, b2, a21, consistent, second_order):
+        # order 1 needs b1 + b2 = 1, order 2 also b2 a21 = 1/2; two
+        # explicit stages never reach order 3
+        if consistent:
+            b1 = 1 - b2
+        if second_order and b2:
+            a21 = Fraction(1, 2) / b2
+        expected = 0 if b1 + b2 != 1 else 1 if b2 * a21 != Fraction(1, 2) else 2
+        assert ref.agreement_order(X, ((a21,),), (b1, b2), 3) == expected

@@ -204,6 +204,20 @@ def test_private_slot_is_rebuilt_by_the_constructor():
     alphabet = Alphabet(("a", "b"))
     for again in (pickle.loads(pickle.dumps(alphabet)), copy.deepcopy(alphabet)):
         assert again.index("b") == 1
+    # jmap's step table, with the same interned letters
+    for magma in CORPUS[MagmaTable]:
+        for again in copies(magma):
+            assert again._steps == magma._steps
+
+
+@pytest.mark.parametrize("cls", [ReducedWord, TruncatedSeries], ids=lambda c: c.__name__)
+def test_a_list_field_is_stored_as_a_tuple(cls):
+    # a list-built value is its tuple-built twin: equal, hashable, picklable
+    value = max(CORPUS[cls], key=lambda v: len(cls._values(v)[-1]))
+    *rest, seq = cls._values(value)
+    from_list = cls(*rest, list(seq))
+    assert from_list == value and hash(from_list) == hash(value)
+    assert pickle.loads(pickle.dumps(from_list)) == value
 
 
 @pytest.mark.parametrize("args, kwargs", [
