@@ -14,15 +14,15 @@ from postgroup_lab.finite_postgroup import (
     trivial_postgroup,
 )
 from postgroup_lab.jsonio import dump_json
-from postgroup_lab.magma import cyclic_shift_magma, save_magma, trivial_magma
+from postgroup_lab.magma import save_magma, shift_family_magma
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
 
 def main() -> None:
     DATA.mkdir(exist_ok=True)
-    save_magma(trivial_magma(("x0", "x1", "x2")), DATA / "trivial3.json")
-    save_magma(cyclic_shift_magma(3), DATA / "shift3.json")
+    save_magma(shift_family_magma((0, 0, 0)), DATA / "trivial3.json")
+    save_magma(shift_family_magma((1, 1, 1)), DATA / "shift3.json")
     save_postgroup(conjugation_postgroup(symmetric_group(3)), DATA / "s3-conj.json")
     save_postgroup(trivial_postgroup(cyclic_group(3)), DATA / "z3-trivial.json")
     fixing = validate_action(cyclic_group(2), ("p", "q"), ((0, 0), (1, 1)))

@@ -28,6 +28,7 @@ from .finite_postgroup import (
 )
 from .interned import Record
 from .jsonio import (
+    _read_tables,
     check_rows,
     load_json_object,
     name_list,
@@ -160,45 +161,21 @@ def load_action(path: str | Path) -> RightAction:
     {"group": {"elements": [...], "table": [[names]]},
      "set": [...point names...],
      "action": {point: {group element: point}}}
+
+    The group is a named table, read as load_tables reads one; the
+    action names every point once, and each of its rows every element.
     """
     obj = load_json_object(path)
     require_keys(obj, ("group", "set", "action"), context=str(path))
-
-    group_obj = obj["group"]
-    if not isinstance(group_obj, dict):
-        raise ShapeError(f"{path}: group must be an object")
-    require_keys(group_obj, ("elements", "table"), context=f"{path}: group")
-    g_elements = name_list(group_obj["elements"], context=f"{path}: group elements")
-    table = rows_from_names(g_elements, group_obj["table"], f"{path}: group table")
+    g_elements, (table,) = _read_tables(obj["group"], ("table",), f"{path}: group")
     group = validate_group(g_elements, table)
-
     points = name_list(obj["set"], context=f"{path}: set")
-
     mapping = obj["action"]
-    if not isinstance(mapping, dict):
-        raise ShapeError(f"{path}: action must be an object")
-    point_set = set(points)
-    unknown = [p for p in mapping if p not in point_set]
-    if unknown:
-        raise ShapeError(f"{path}: action mentions unknown point(s) {unknown}")
-    missing = [p for p in points if p not in mapping]
-    if missing:
-        raise ShapeError(f"{path}: action missing point(s) {missing}")
+    require_keys(mapping, points, f"{path}: action")
     targets = []
     for point in points:
         row_obj = mapping[point]
-        if not isinstance(row_obj, dict):
-            raise ShapeError(f"{path}: action[{point!r}] must be an object")
-        unknown_g = [g for g in row_obj if g not in g_elements]
-        if unknown_g:
-            raise ShapeError(
-                f"{path}: action[{point!r}] mentions unknown element(s) {unknown_g}"
-            )
-        missing_g = [g for g in g_elements if g not in row_obj]
-        if missing_g:
-            raise ShapeError(
-                f"{path}: action[{point!r}] missing element(s) {missing_g}"
-            )
+        require_keys(row_obj, g_elements, f"{path}: action[{point!r}]")
         targets.append([row_obj[g] for g in g_elements])
     rows = rows_from_names(points, targets, f"{path}: action")
     return validate_action(group, points, rows)

@@ -20,19 +20,23 @@ jmap reading the magma's step table.  Neither reduces its output:
 images of letters m, m'^{-1} cancel only if L_m(lam(m')) = m, that is
 m' = m, which a reduced input excludes, and m^{-1}, m' is symmetric;
 kmap's letters are sent by jmap to its reduced input, one for one.
+
+kmap's pass, the solve, carries pi^{-1} and is the same recursion as
+the action's: act and act_perm invert its final permutation, and
+inverse_act moves letters by it as it is.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 
-from .magma import MagmaTable, generator_perm, generator_perm_inv
+from .errors import AlphabetMismatchError
+from .magma import MagmaTable, generator_perm_inv
 from .perms import compose_perm, identity_perm, invert_perm
 from .words import (
     Alphabet,
     Letter,
     ReducedWord,
-    check_same_alphabet,
     dot,
     invert,
     parse_word,
@@ -42,18 +46,29 @@ from .words import (
 
 def _check_alphabet(magma: MagmaTable, u: ReducedWord) -> None:
     if u.alphabet != magma.alphabet:
-        # reuse the standard mismatch error text
-        check_same_alphabet(u, ReducedWord(magma.alphabet, ()))
+        raise AlphabetMismatchError("words are over different alphabets")
+
+
+def _solve(magma: MagmaTable, letters: Sequence[Letter]) -> tuple[tuple, tuple[int, ...]]:
+    """The triangular solve along the running permutation, over any letters.
+
+    Peeling letters from the left, the k-th letter b must equal pi(a'),
+    where pi is the permutation accumulated from the previous solved
+    letters, so a' = pi^{-1}(b).  A positive a' came from itself, a
+    negative p^{-1} from lam^{-1}(p)^{-1}.  Returns those preimages and
+    pi^{-1}, the inverse of the permutation of the whole sequence.
+    """
+    pi_inv, recovered = identity_perm(len(magma)), []
+    for letter in letters:
+        solved = Letter(pi_inv[letter.gen], letter.sign)
+        pi_inv = compose_perm(generator_perm_inv(magma, solved), pi_inv)
+        recovered.append(solved if solved.sign == 1 else Letter(magma.lam_inv[solved.gen], -1))
+    return tuple(recovered), pi_inv
 
 
 def act_perm_raw(magma: MagmaTable, letters: Sequence[Letter]) -> tuple[int, ...]:
     """Run the extension recursion over any letter sequence, reduced or not."""
-    pi = pi_inv = identity_perm(len(magma))
-    for letter in letters:
-        b = Letter(pi_inv[letter.gen], letter.sign)
-        pi = compose_perm(pi, generator_perm(magma, b))
-        pi_inv = compose_perm(generator_perm_inv(magma, b), pi_inv)
-    return pi
+    return invert_perm(_solve(magma, letters)[1])
 
 
 def act_perm(magma: MagmaTable, u: ReducedWord) -> tuple[int, ...]:
@@ -66,18 +81,15 @@ def act(magma: MagmaTable, u: ReducedWord, v: ReducedWord) -> ReducedWord:
     """u |> v: apply the permutation of u to every letter of v."""
     _check_alphabet(magma, v)
     pi = act_perm(magma, u)
-    return ReducedWord(
-        v.alphabet, tuple(Letter(pi[l.gen], l.sign) for l in v.letters)
-    )
+    return ReducedWord(v.alphabet, tuple(Letter(pi[l.gen], l.sign) for l in v.letters))
 
 
 def inverse_act(magma: MagmaTable, u: ReducedWord, v: ReducedWord) -> ReducedWord:
     """The unique w with u |> w = v."""
+    _check_alphabet(magma, u)
     _check_alphabet(magma, v)
-    pi_inv = invert_perm(act_perm(magma, u))
-    return ReducedWord(
-        v.alphabet, tuple(Letter(pi_inv[l.gen], l.sign) for l in v.letters)
-    )
+    pi_inv = _solve(magma, u.letters)[1]
+    return ReducedWord(v.alphabet, tuple(Letter(pi_inv[l.gen], l.sign) for l in v.letters))
 
 
 def gl_product(magma: MagmaTable, u: ReducedWord, v: ReducedWord) -> ReducedWord:
@@ -107,20 +119,10 @@ def jmap(magma: MagmaTable, u: ReducedWord) -> ReducedWord:
 
 
 def kmap(magma: MagmaTable, v: ReducedWord) -> ReducedWord:
-    """Invert jmap by a triangular solve along the running permutation.
-
-    Peeling letters from the left, the k-th letter b of the input must
-    equal pi(a'), where pi is the permutation accumulated from the
-    previous solved letters, so a' = pi^{-1}(b).  A positive a' came
-    from itself, a negative p^{-1} from lam^{-1}(p)^{-1}; none cancel.
-    """
+    """Invert jmap: jmap sends the solve's preimages of v's letters to v,
+    one for one, and no two of them cancel."""
     _check_alphabet(magma, v)
-    pi_inv, recovered = identity_perm(len(magma)), []
-    for letter in v.letters:
-        solved = Letter(pi_inv[letter.gen], letter.sign)
-        pi_inv = compose_perm(generator_perm_inv(magma, solved), pi_inv)
-        recovered.append(solved if solved.sign == 1 else Letter(magma.lam_inv[solved.gen], -1))
-    return ReducedWord._of(v.alphabet, tuple(recovered))
+    return ReducedWord._of(v.alphabet, _solve(magma, v.letters)[0])
 
 
 def parse_over(magma: MagmaTable, text: str) -> ReducedWord:

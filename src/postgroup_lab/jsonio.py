@@ -7,7 +7,9 @@ SchemaError.  Magma, group, post-group, skew brace
 and braiding files share one shape, {"elements": [names], "<table>":
 [[names]], ...}, with row i of each table belonging to elements[i]:
 load_tables and tables_to_json read and write it, and check_rows is
-the one shape check for index tables.
+the one shape check for index tables.  The group of an action file has
+the same shape and is read from the parsed file by _read_tables, the
+reader behind load_tables; require_keys checks every key set.
 """
 
 from __future__ import annotations
@@ -43,8 +45,10 @@ def load_json_object(path: str | Path) -> dict:
     return obj
 
 
-def require_keys(obj: dict, required: tuple[str, ...], context: str) -> None:
-    """Check that obj has exactly the required keys, no more, no fewer."""
+def require_keys(obj: object, required: tuple[str, ...], context: str) -> None:
+    """Check that obj is an object with exactly the required keys, no more, no fewer."""
+    if not isinstance(obj, dict):
+        raise ShapeError(f"{context} must be an object")
     missing = [key for key in required if key not in obj]
     if missing:
         raise SchemaError(f"{context}: missing key(s) {', '.join(missing)}")
@@ -84,11 +88,15 @@ def load_tables(
     path: str | Path, keys: tuple[str, ...]
 ) -> tuple[tuple[str, ...], list[list[list[int]]]]:
     """The element names and one index table per key, shapes unchecked."""
-    obj = load_json_object(path)
-    require_keys(obj, ("elements", *keys), context=str(path))
-    elements = name_list(obj["elements"], context=f"{path}: elements")
+    return _read_tables(load_json_object(path), keys, str(path))
+
+
+def _read_tables(obj: object, keys: tuple[str, ...], context: str):
+    """load_tables on a parsed named-table object."""
+    require_keys(obj, ("elements", *keys), context)
+    elements = name_list(obj["elements"], context=f"{context}: elements")
     return elements, [
-        rows_from_names(elements, obj[key], f"{path}: {key}") for key in keys
+        rows_from_names(elements, obj[key], f"{context}: {key}") for key in keys
     ]
 
 

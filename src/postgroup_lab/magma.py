@@ -8,7 +8,8 @@ exhaustive and produce concrete witnesses on failure.
 
 Validation precomputes everything the free post-group needs per
 letter: lam, its inverse, the inverse of each row and jmap's step
-table, so that every letter permutation is a plain table lookup.
+table, so that every letter permutation, and the inverse that
+generator_perm_inv reads, is a plain table lookup.
 """
 
 from __future__ import annotations
@@ -95,20 +96,13 @@ def validate_magma(
     )
 
 
-def generator_perm(magma: MagmaTable, letter: Letter) -> tuple[int, ...]:
-    """The permutation of the generator set attached to one letter.
+def generator_perm_inv(magma: MagmaTable, letter: Letter) -> tuple[int, ...]:
+    """The inverse of the permutation of the generator set attached to a letter.
 
     A positive letter m acts by its row L_m.  A negative letter m^{-1}
     acts by the inverse of the row of lam^{-1}(m), the unique choice
     that makes the extended action multiplicative on inverse pairs.
     """
-    if letter.sign == 1:
-        return magma.triangle[letter.gen]
-    return magma.row_inv[magma.lam_inv[letter.gen]]
-
-
-def generator_perm_inv(magma: MagmaTable, letter: Letter) -> tuple[int, ...]:
-    """The inverse of generator_perm(magma, letter), read from the table."""
     if letter.sign == 1:
         return magma.row_inv[letter.gen]
     return magma.triangle[magma.lam_inv[letter.gen]]
@@ -128,21 +122,12 @@ def save_magma(magma: MagmaTable, path: str | Path | None) -> str:
     return dump_json(magma_to_json(magma), path)
 
 
-def trivial_magma(elements: Sequence[str]) -> MagmaTable:
-    """a |> b = b.  Every diagonal left-regular axiom holds trivially."""
-    n = len(elements)
-    return validate_magma(elements, [list(range(n)) for _ in range(n)])
-
-
-def cyclic_shift_magma(n: int) -> MagmaTable:
-    """a |> b = b + 1 mod n on elements named x0 .. x{n-1}."""
-    elements = [f"x{i}" for i in range(n)]
-    row = [(j + 1) % n for j in range(n)]
-    return validate_magma(elements, [list(row) for _ in range(n)])
-
-
 def shift_family_magma(shifts: Sequence[int]) -> MagmaTable:
-    """a |> b = b + shifts[a] mod n, diagonal when a - shifts[a] is bijective."""
+    """a |> b = b + shifts[a] mod n, diagonal when a - shifts[a] is bijective.
+
+    All shifts 1 give the cyclic shift magma, all shifts 0 the trivial
+    magma a |> b = b.
+    """
     n = len(shifts)
     elements = [f"x{i}" for i in range(n)]
     rows = [[(j + s) % n for j in range(n)] for s in shifts]

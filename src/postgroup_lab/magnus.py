@@ -12,7 +12,9 @@ The twisted exponential, the logarithm and the right side of the
 fixed point are one computation, a weighted sum of the powers of one
 operator applied to a series, and share the kernel _power_sum.  Each
 order of a product, a power sum, an integral, a flow step or alpha is
-one dict summed over memoised word kernels, then wrapped once.
+one dict summed over memoised word kernels, then wrapped once.  The
+bracket's word kernel is the tensor layer's, the one gl_lie_bracket
+extends to polynomials.
 
 The order is checked once, in exp_dot_series, where every series the
 verbs build starts; the other functions take any series they are given.
@@ -33,6 +35,7 @@ from .tensor_postlie import (
     TensorPoly,
     _add_into,
     _bilinear,
+    _bracket_word,
     _gl_word,
     _require_primitive,
     _sstar_word,
@@ -92,16 +95,6 @@ def _scaled(terms: dict, scalar) -> TensorPoly:
 
 def _concat_word(u, v) -> TensorPoly:
     return TensorPoly._of({u + v: _ONE})
-
-
-def _bracket_word(u, v) -> TensorPoly:
-    """The twisted bracket u.v - v.u + u |> v - v |> u of two words."""
-    acc = {}
-    for sign, a, b in ((_ONE, u, v), (-_ONE, v, u)):
-        _add_into(acc, a + b, sign)
-        for word, c in _tri_word(a, b).terms.items():
-            _add_into(acc, word, sign * c)
-    return TensorPoly._of(acc)
 
 
 def _convolution_coeff(left, right, k: int, word_product, checked=None) -> dict:

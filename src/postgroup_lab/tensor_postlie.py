@@ -11,6 +11,8 @@ its inverse.  Everything is exact; there is no floating point here.
 Each operation is a memoised rule on words, extended to polynomials by
 _linear or _bilinear.  The memo dicts are _SPLITS (position splits),
 _TRI (triangle), _GL (twisted product), _SSTAR (its antipode) and _K.
+The twisted bracket's rule, _bracket_word, also serves the series
+layer's bracket convolution.
 kmap_tensor_inverse keeps its memo for one call only.  The unshuffle
 coproduct is a TensorPoly keyed by (word, word) pairs.
 
@@ -397,15 +399,20 @@ def _require_primitive(*polys) -> None:
             )
 
 
+def _bracket_word(u, v) -> TensorPoly:
+    """The twisted bracket u.v - v.u + u |> v - v |> u of two words."""
+    acc = {}
+    for sign, a, b in ((_ONE, u, v), (-_ONE, v, u)):
+        _add_into(acc, a + b, sign)
+        for word, c in _tri_word(a, b).terms.items():
+            _add_into(acc, word, sign * c)
+    return TensorPoly._of(acc)
+
+
 def gl_lie_bracket(left: TensorPoly, right: TensorPoly) -> TensorPoly:
     """Twisted bracket [X,Y] + X |> Y - Y |> X on primitives."""
     _require_primitive(left, right)
-    return (
-        concat(left, right)
-        - concat(right, left)
-        + triangle(left, right)
-        - triangle(right, left)
-    )
+    return _bilinear(_bracket_word, left, right)
 
 
 def trees_of_degree(degree: int, generators: int) -> tuple:

@@ -13,11 +13,17 @@ group and table it reads or derives from scratch.
 validate_group and _with_triangle (and so validate_postgroup) are the
 exhaustive triple loops that the library ran before associativity, the
 automorphism law and weighted associativity became byte-row kernels.
+
+rota_baxter_operators enumerates the Rota-Baxter operators of weight 1
+on a group, and rota_baxter_triangle turns one into the conjugation
+action a |> b = B(a) b B(a)^-1: a source of finite post-groups that
+owes nothing to the library's constructions.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
+from itertools import product
 
 from postgroup_lab.action_postgroup import GaugeMap, gauge_act, gauge_dot
 from postgroup_lab.errors import (
@@ -237,3 +243,34 @@ def _with_triangle(group: GroupTable, triangle) -> PostGroupTable:
                     )
 
     return PostGroupTable._of(names, group.table, rows, group.unit, group.inv, None)
+
+
+def rota_baxter_operators(group: GroupTable) -> list[tuple[int, ...]]:
+    """Every B: G -> G with B(a) B(b) = B(a B(a) b B(a)^-1) for all a, b.
+
+    a = b = e gives B(e) B(e) = B(e), so B(e) = e, and the brute-force
+    sweep runs only over the |G|^(|G| - 1) maps that fix the unit.
+    """
+    n, t, inv, e = len(group), group.table, group.inv, group.unit
+    others = [a for a in range(n) if a != e]
+    found = []
+    for images in product(range(n), repeat=n - 1):
+        B = [e] * n
+        for a, image in zip(others, images):
+            B[a] = image
+        if all(
+            t[B[a]][B[b]] == B[t[t[t[a][B[a]]][b]][inv[B[a]]]]
+            for a in range(n)
+            for b in range(n)
+        ):
+            found.append(tuple(B))
+    return found
+
+
+def rota_baxter_triangle(group: GroupTable, B: Sequence[int], inverse: bool = False):
+    """a |> b = B(a) b B(a)^-1, or B(a)^-1 b B(a) when inverse is set."""
+    t, inv, n = group.table, group.inv, len(group)
+    by = [inv[x] for x in B] if inverse else list(B)
+    return tuple(
+        tuple(t[t[by[a]][b]][inv[by[a]]] for b in range(n)) for a in range(n)
+    )

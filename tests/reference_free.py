@@ -4,18 +4,33 @@ These are the original quadratic implementations of act_perm_raw,
 jmap and kmap, kept only as oracles for the single-pass library code.
 They rest on nothing but the magma table, the permutation helpers and
 dot, so a fault in the library's running-permutation kernels cannot
-hide in the reference.  gl_product is rebuilt here on top of the
-reference act_perm_raw for the same reason, and opposite_act, the
-companion action of the opposite post-group, on top of that.
+hide in the reference.  act, inverse_act and gl_product are rebuilt
+here on top of the reference act_perm_raw for the same reason, and
+opposite_act, the companion action of the opposite post-group, on top
+of that.  generator_perm, the forward permutation of one letter, was
+the library's until the action came to share kmap's solve, which reads
+only the inverse permutations.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 
-from postgroup_lab.magma import MagmaTable, generator_perm
+from postgroup_lab.magma import MagmaTable
 from postgroup_lab.perms import compose_perm, identity_perm, invert_perm
 from postgroup_lab.words import Letter, ReducedWord, dot, invert
+
+
+def generator_perm(magma: MagmaTable, letter: Letter) -> tuple[int, ...]:
+    """The permutation of the generator set attached to one letter.
+
+    A positive letter m acts by its row L_m.  A negative letter m^{-1}
+    acts by the inverse of the row of lam^{-1}(m), the unique choice
+    that makes the extended action multiplicative on inverse pairs.
+    """
+    if letter.sign == 1:
+        return magma.triangle[letter.gen]
+    return magma.row_inv[magma.lam_inv[letter.gen]]
 
 
 def act_perm_raw(magma: MagmaTable, letters: Sequence[Letter]) -> tuple[int, ...]:
@@ -31,13 +46,23 @@ def act_perm_raw(magma: MagmaTable, letters: Sequence[Letter]) -> tuple[int, ...
     return pi
 
 
+def _moved(perm: tuple[int, ...], v: ReducedWord) -> ReducedWord:
+    return ReducedWord(v.alphabet, tuple(Letter(perm[l.gen], l.sign) for l in v.letters))
+
+
+def act(magma: MagmaTable, u: ReducedWord, v: ReducedWord) -> ReducedWord:
+    """u |> v: every letter of v moved by the permutation of u."""
+    return _moved(act_perm_raw(magma, u.letters), v)
+
+
+def inverse_act(magma: MagmaTable, u: ReducedWord, v: ReducedWord) -> ReducedWord:
+    """The w with u |> w = v: every letter of v moved back by u's permutation."""
+    return _moved(invert_perm(act_perm_raw(magma, u.letters)), v)
+
+
 def gl_product(magma: MagmaTable, u: ReducedWord, v: ReducedWord) -> ReducedWord:
     """The group law u * v = u . (u |> v) of the free post-group."""
-    pi = act_perm_raw(magma, u.letters)
-    moved = ReducedWord(
-        v.alphabet, tuple(Letter(pi[l.gen], l.sign) for l in v.letters)
-    )
-    return dot(u, moved)
+    return dot(u, act(magma, u, v))
 
 
 def opposite_act(magma: MagmaTable, u: ReducedWord, v: ReducedWord) -> ReducedWord:

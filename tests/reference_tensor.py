@@ -11,6 +11,9 @@ TensorPoly subtraction per proper split, memoised in its own table.
 kmap_tensor_inverse is K^-1 as the finite series the library summed
 before it inverted K word by word.  tree_degree, _tree_struct and
 tree_key recompute by recursion what an interned tree now stores.
+
+gl_lie_bracket is the twisted bracket as four polynomial products, as
+the library wrote it before it extended the series layer's word kernel.
 """
 
 from __future__ import annotations
@@ -18,8 +21,10 @@ from __future__ import annotations
 from postgroup_lab.tensor_postlie import (
     Leaf,
     TensorPoly,
+    concat,
     gl_star,
     kmap_tensor,
+    triangle,
     unshuffle,
 )
 
@@ -30,6 +35,16 @@ def is_primitive(poly: TensorPoly) -> bool:
         for key in ((word, ()), ((), word)):
             expected[key] = expected.get(key, 0) + coeff
     return unshuffle(poly) == TensorPoly(expected)
+
+
+def gl_lie_bracket(left: TensorPoly, right: TensorPoly) -> TensorPoly:
+    """[X,Y] + X |> Y - Y |> X, with no primitivity check."""
+    return (
+        concat(left, right)
+        - concat(right, left)
+        + triangle(left, right)
+        - triangle(right, left)
+    )
 
 
 _SSTAR: dict = {}

@@ -313,24 +313,29 @@ class TestJson:
         del obj["action"]["q"]
         path = tmp_path / "action.json"
         dump_json(obj, path)
-        with pytest.raises(ShapeError, match="missing point"):
+        with pytest.raises(SchemaError, match=r": action: missing key\(s\) q$") as failure:
             load_action(path)
+        assert type(failure.value) is SchemaError
 
     def test_unknown_point_rejected(self, tmp_path):
         obj = action_to_json(SWAP)
         obj["action"]["r"] = obj["action"]["p"]
         path = tmp_path / "action.json"
         dump_json(obj, path)
-        with pytest.raises(ShapeError, match=r"unknown point\(s\) \['r'\]"):
+        with pytest.raises(SchemaError, match=r": action: unknown key\(s\) r$") as failure:
             load_action(path)
+        assert type(failure.value) is SchemaError
 
     def test_unknown_group_element_rejected(self, tmp_path):
         obj = action_to_json(SWAP)
         obj["action"]["p"]["weird"] = "p"
         path = tmp_path / "action.json"
         dump_json(obj, path)
-        with pytest.raises(ShapeError, match="unknown element"):
+        with pytest.raises(
+            SchemaError, match=r": action\['p'\]: unknown key\(s\) weird$"
+        ) as failure:
             load_action(path)
+        assert type(failure.value) is SchemaError
 
     @pytest.mark.parametrize(
         "row, message",

@@ -28,7 +28,7 @@ from postgroup_lab.finite_postgroup import (
     trivial_postgroup,
 )
 from postgroup_lab.jsonio import dump_json, tables_to_json
-from postgroup_lab.magma import cyclic_shift_magma, save_magma, trivial_magma
+from postgroup_lab.magma import save_magma, shift_family_magma
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -41,7 +41,7 @@ def clean_env(monkeypatch):
 @pytest.fixture
 def shift3(tmp_path):
     path = tmp_path / "shift3.json"
-    save_magma(cyclic_shift_magma(3), path)
+    save_magma(shift_family_magma((1, 1, 1)), path)
     return str(path)
 
 
@@ -55,7 +55,7 @@ def z3_trivial(tmp_path):
 class TestWordVerbs:
     def test_validate_magma(self, tmp_path, capsys):
         path = tmp_path / "trivial3.json"
-        save_magma(trivial_magma(("x0", "x1", "x2")), path)
+        save_magma(shift_family_magma((0, 0, 0)), path)
         assert main(["validate-magma", str(path)]) == 0
         assert capsys.readouterr().out == "diagonal left-regular: OK\n"
 

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 from postgroup_lab.errors import (
     ActionLawError,
     AutomorphismError,
+    AxiomError,
     BraidedGroupError,
     CheckResult,
     GroupAxiomError,
@@ -744,3 +745,92 @@ class TestJson:
         path.write_text('{"elements": ["a"], "dot": [["z"]]}')
         with pytest.raises(Exception, match="unknown element"):
             load_group(path)
+
+
+def _klein_four():
+    return validate_group(("00", "01", "10", "11"), [[a ^ b for b in range(4)] for a in range(4)])
+
+
+def _endomorphism_count(group, generators):
+    """|End(G)|: each choice of generator images, extended along the
+    Cayley graph, counts when it is well defined and multiplicative."""
+    n, t, e = len(group), group.table, group.unit
+    count = 0
+    for images in itertools.product(range(n), repeat=len(generators)):
+        phi, frontier, consistent = {e: e}, [e], True
+        while frontier and consistent:
+            x = frontier.pop()
+            for g, image in zip(generators, images):
+                y, value = t[x][g], t[phi[x]][image]
+                if y not in phi:
+                    phi[y] = value
+                    frontier.append(y)
+                consistent = consistent and phi[y] == value
+        count += consistent and all(
+            phi[t[a][b]] == t[phi[a]][phi[b]] for a in range(n) for b in range(n)
+        )
+    return count
+
+
+class TestRotaBaxterOperators:
+    # a Rota-Baxter operator B of weight 1 gives the post-group
+    # a |> b = B(a) b B(a)^-1 over the same dot group
+    GROUPS = {
+        "Z2": (cyclic_group(2), 2, (1,)),
+        "Z3": (cyclic_group(3), 3, (1,)),
+        "Z4": (cyclic_group(4), 4, (1,)),
+        "Z2xZ2": (_klein_four(), 16, (1, 2)),
+        "Z6": (cyclic_group(6), 6, (1,)),
+        "S3": (S3, 8, None),
+    }
+
+    @pytest.mark.parametrize("name", GROUPS)
+    def test_operator_counts(self, name):
+        group, expected, generators = self.GROUPS[name]
+        assert len(ref.rota_baxter_operators(group)) == expected
+        if generators is not None:
+            # on an abelian group the law says B is an endomorphism
+            assert _endomorphism_count(group, generators) == expected
+
+    @pytest.mark.parametrize("name", GROUPS)
+    def test_each_operator_gives_a_postgroup(self, name):
+        group = self.GROUPS[name][0]
+        n = len(group)
+        for B in ref.rota_baxter_operators(group):
+            pg = validate_postgroup(group.elements, group.table, ref.rota_baxter_triangle(group, B))
+            to_skew_brace(pg)
+            assert all(result.ok for result in check_braid_laws(braiding(pg)).values())
+            star = gl_star_table(pg)
+            # B is a homomorphism from (G, *) to (G, .)
+            for a in range(n):
+                for b in range(n):
+                    assert B[star[a][b]] == group.table[B[a]][B[b]]
+
+    def test_s3_operators_and_only_they_give_postgroups(self):
+        # conjugation by B(e) must be the identity and S3 has a trivial
+        # centre, so every map that gives a post-group fixes the unit
+        operators = ref.rota_baxter_operators(S3)
+        found = []
+        others = [a for a in range(len(S3)) if a != S3.unit]
+        for images in itertools.product(range(len(S3)), repeat=len(others)):
+            B = [S3.unit] * len(S3)
+            for a, image in zip(others, images):
+                B[a] = image
+            try:
+                pg = validate_postgroup(S3.elements, S3.table, ref.rota_baxter_triangle(S3, B))
+            except AxiomError:
+                continue
+            found.append((tuple(B), pg.triangle))
+        assert [B for B, _ in found] == operators
+        assert len({triangle for _, triangle in found}) == 8
+
+    def test_conjugating_by_the_inverse_is_refused_for_half(self):
+        refused = 0
+        for B in ref.rota_baxter_operators(S3):
+            try:
+                validate_postgroup(
+                    S3.elements, S3.table, ref.rota_baxter_triangle(S3, B, inverse=True)
+                )
+            except AxiomError:
+                refused += 1
+        assert refused == 4

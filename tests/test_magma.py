@@ -1,10 +1,17 @@
-"""Magma validation, the diagonal solution map, and letter permutations."""
+"""Magma validation, the diagonal solution map, and letter permutations.
+
+The forward letter permutation generator_perm is the oracle kept in
+reference_free; the library reads only the inverse, generator_perm_inv.
+"""
 
 from __future__ import annotations
+
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from reference_free import generator_perm
 
 from postgroup_lab.errors import (
     DiagonalityError,
@@ -13,23 +20,21 @@ from postgroup_lab.errors import (
     ShapeError,
 )
 from postgroup_lab.magma import (
-    cyclic_shift_magma,
-    generator_perm,
     generator_perm_inv,
     load_magma,
     magma_to_json,
     save_magma,
     shift_family_magma,
-    trivial_magma,
     validate_magma,
 )
 from postgroup_lab.jsonio import rows_from_names
 from postgroup_lab.perms import compose_perm, identity_perm, invert_perm
 from postgroup_lab.words import Letter
 
-SHIFT3 = cyclic_shift_magma(3)
-TRIV3 = trivial_magma(("x0", "x1", "x2"))
+SHIFT3 = shift_family_magma((1, 1, 1))
+TRIV3 = shift_family_magma((0, 0, 0))
 MIXED3 = shift_family_magma((0, 2, 1))
+DATA = Path(__file__).resolve().parent.parent / "data"
 
 
 def naive_lambda(triangle: list[list[int]], m: int) -> int:
@@ -111,7 +116,7 @@ class TestPrecomputedMaps:
 
 @given(st.integers(1, 6))
 def test_cyclic_shift_any_size_validates(n):
-    magma = cyclic_shift_magma(n)
+    magma = shift_family_magma((1,) * n)
     assert len(magma) == n
     for row in magma.triangle:
         assert sorted(row) == list(range(n))
@@ -142,6 +147,12 @@ def test_row_permutations_validate_iff_diagonal_bijective(rows):
     else:
         with pytest.raises(DiagonalityError):
             validate_magma(["a", "b", "c"], rows)
+
+
+@pytest.mark.parametrize("shifts, name", [((1, 1, 1), "shift3.json"), ((0, 0, 0), "trivial3.json")])
+def test_shift_family_regenerates_the_sample_file(shifts, name):
+    # the cyclic shift and the trivial magma are members of the family
+    assert save_magma(shift_family_magma(shifts), None) == (DATA / name).read_text(encoding="utf-8")
 
 
 class TestJson:

@@ -25,7 +25,6 @@ import reference_magnus as ref
 from postgroup_lab.errors import NotPrimitiveError, ShapeError, SizeCapError
 from postgroup_lab.magnus import (
     TruncatedSeries,
-    _bracket_word,
     _convolve,
     _log_series,
     _magnus_rhs,
@@ -50,6 +49,7 @@ from postgroup_lab.tensor_postlie import (
     Leaf,
     Node,
     TensorPoly,
+    _bracket_word,
     _tri_word,
     concat,
     gl_lie_bracket,

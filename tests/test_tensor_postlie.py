@@ -171,6 +171,22 @@ def primitivity_candidates(draw):
     return total + TensorPoly(draw(st.dictionaries(words_small, fractions_small, max_size=3)))
 
 
+@st.composite
+def primitives(draw):
+    """Fraction combinations of trees, of commutators of two trees, and of
+    commutators of a tree with such a commutator: all primitive."""
+    total = TensorPoly.zero()
+    terms = st.tuples(fractions_small, trees_small, trees_small, st.integers(0, 2))
+    for c, s, t, depth in draw(st.lists(terms, max_size=3)):
+        term = wpoly(s)
+        if depth:
+            term = wpoly(s, t) - wpoly(t, s)
+        if depth == 2:
+            term = concat(wpoly(t), term) - concat(term, wpoly(t))
+        total = total + c * term
+    return total
+
+
 # ------------------------------------------------------------------ trees
 
 class TestTrees:
@@ -641,6 +657,12 @@ class TestLieLayer:
             + wpoly(Node(A0, A1)) - wpoly(Node(A1, A0))
         )
         assert got == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(primitives(), primitives())
+    def test_twisted_bracket_matches_the_four_products(self, x, y):
+        assert is_primitive(x) and is_primitive(y)
+        assert gl_lie_bracket(x, y) == reference_tensor.gl_lie_bracket(x, y)
 
     def _primitive_basis(self):
         out = [wpoly(t) for d in (1, 2, 3) for t in trees_of_degree(d, 2)]
